@@ -212,6 +212,12 @@ class ErrorBound:
         if self.rel_bound is not None:
             candidates.append(float(self.rel_bound) * float(value_range))
         eb = min(candidates)
+        if eb == float("inf"):
+            raise ValueError(
+                "relative error bound resolves to infinity: the field's "
+                "finite value range overflows float64; pass abs_bound (or "
+                "mode='abs') instead"
+            )
         if eb == 0.0:
             raise ValueError(
                 "relative error bound resolves to zero: the field's finite "

@@ -60,6 +60,7 @@ from repro.core.wavefront import (
     WavefrontResult,
     wavefront_compress,
     wavefront_decompress,
+    wavefront_decompress_batch,
 )
 from repro.encoding.coders import (
     DEFAULT_ENTROPY_CODER,
@@ -67,7 +68,9 @@ from repro.encoding.coders import (
     coder_for_flags,
     get_entropy_coder,
 )
-from repro.obs.tracer import Collector, active_collector
+from repro.encoding.huffman import EncodedStream, HuffmanCodec, decode_streams
+from repro.metrics.errors import rmse
+from repro.obs.tracer import Collector, active_collector, span
 from repro.perf import stage
 
 if TYPE_CHECKING:
@@ -81,6 +84,8 @@ __all__ = [
     "compress_with_stats",
     "container_info",
     "decompress",
+    "decompress_batch",
+    "parse_container",
 ]
 
 LEGACY_BOUND_MSG = (
@@ -205,16 +210,24 @@ class CompressionStats:
 
 def _value_range(data: np.ndarray) -> float:
     """Finite value range ``max - min`` (0.0 when nothing is finite)."""
-    # Fast path: min/max without the isfinite boolean-index copy.  A
-    # finite difference proves both extremes finite (inf - inf = nan,
-    # anything involving nan is nan), so the result equals the masked
-    # computation; otherwise fall back to it.  The subtraction stays in
-    # the array dtype — float32 ranges must round exactly as before.
-    spread = float(data.max() - data.min())
-    if spread == spread and abs(spread) != float("inf"):
-        return spread
-    finite = data[np.isfinite(data)]
-    return float(finite.max() - finite.min()) if finite.size else 0.0
+    # min/max are NaN- and Inf-poisoning, so finite extremes prove the
+    # whole array finite and the isfinite boolean-index copy is skipped.
+    hi, lo = data.max(), data.min()
+    if not (np.isfinite(hi) and np.isfinite(lo)):
+        finite = data[np.isfinite(data)]
+        if not finite.size:
+            return 0.0
+        hi, lo = finite.max(), finite.min()
+    # The subtraction stays in the array dtype — float32 ranges must
+    # round exactly as before.  Only a span past the dtype's maximum
+    # (finite float32 extremes of opposite sign) is retaken in float64;
+    # a span past float64's maximum stays inf, which the range-relative
+    # modes reject.
+    with np.errstate(over="ignore"):
+        spread = float(hi - lo)
+    if spread == float("inf"):
+        spread = float(hi) - float(lo)
+    return spread
 
 
 _BIT_UINTS = {np.dtype(np.float32): np.uint32, np.dtype(np.float64): np.uint64}
@@ -330,15 +343,11 @@ def _emit_container(
 
 def _psnr_of(data: np.ndarray, recon: np.ndarray, value_range: float) -> float:
     """PSNR (dB) of a reconstruction over the finite pairs (Metric 2)."""
-    a = data.astype(np.float64)
-    b = recon.astype(np.float64)
-    mask = np.isfinite(a) & np.isfinite(b)
-    if not mask.any():
+    error = rmse(data, recon)
+    if error == 0.0:
         return float("inf")
-    rmse = float(np.sqrt(np.mean((a[mask] - b[mask]) ** 2)))
-    if rmse == 0.0:
-        return float("inf")
-    return float(20.0 * np.log10(value_range / rmse))
+    with np.errstate(divide="ignore"):
+        return float(20.0 * np.log10(value_range / error))
 
 
 def compress_array(
@@ -615,6 +624,11 @@ def _compress_psnr(
     ``R * 10^(-target/20)`` is mathematically guaranteed to reach it
     (``rmse <= max|error| <= eb``).  Further halvings are pure paranoia.
     """
+    if value_range == float("inf"):
+        raise ValueError(
+            "psnr target cannot be resolved: the field's finite value "
+            "range overflows float64"
+        )
     if value_range == 0.0:
         # Only reachable when non-finite values block the constant
         # shortcut: PSNR normalizes by the value range, so a target on a
@@ -760,22 +774,55 @@ def decompress(blob: Any, out: Any = None, workers: int = 1) -> np.ndarray:
     return result
 
 
-def _decompress_impl(
-    blob: Any, out: Any = None, workers: int = 1
-) -> np.ndarray:
+@dataclass
+class ParsedContainer:
+    """A container split into its sections, ready to decode.
+
+    ``inner_dtype`` is the dtype the wavefront body decodes in: float64
+    for ``pw_rel`` (the log field), the advertised dtype otherwise.
+    """
+
+    header: Header
+    codec: HuffmanCodec | None
+    stream: EncodedStream | None
+    unpred_payload: bytes | memoryview
+    constant: float
+    arith: bytes | memoryview
+
+    @property
+    def inner_dtype(self) -> np.dtype:
+        if self.header.mode == "pw_rel":
+            return np.dtype(np.float64)
+        return np.dtype(self.header.dtype)
+
+    @property
+    def n_values(self) -> int:
+        return int(np.prod(self.header.shape, dtype=np.int64))
+
+
+def parse_container(blob: Any) -> ParsedContainer:
+    """Unwrap and parse one container without decoding its body."""
     blob = _as_byte_view(blob)
     with stage("lossless_unwrap", nbytes=len(blob)):
         blob = unwrap(blob)
-    header, codec, stream, unpred_payload, constant, arith = read_container(blob)
+    return ParsedContainer(*read_container(blob))
+
+
+def _decompress_impl(
+    blob: Any, out: Any = None, workers: int = 1
+) -> np.ndarray:
+    parsed = parse_container(blob)
+    result = _decode_parsed(parsed, workers)
+    return result if out is None else _fill_out(result, out)
+
+
+def _decode_parsed(parsed: ParsedContainer, workers: int = 1) -> np.ndarray:
+    """Decode one parsed container on its own (the whole-array path)."""
+    header = parsed.header
     if header.is_constant:
-        result = np.full(header.shape, constant, dtype=header.dtype)
-        return result if out is None else _fill_out(result, out)
-    expected = int(np.prod(header.shape, dtype=np.int64))
-    # pw_rel bodies encode the float64 log field; every other mode's body
-    # lives directly in the advertised dtype.
-    inner_dtype = (
-        np.dtype(np.float64) if header.mode == "pw_rel" else header.dtype
-    )
+        return np.full(header.shape, parsed.constant, dtype=header.dtype)
+    expected = parsed.n_values
+    inner_dtype = parsed.inner_dtype
     try:
         # read_container returns a codec+stream pair (or an opaque
         # payload) for every non-constant container; the header flag
@@ -783,11 +830,11 @@ def _decompress_impl(
         coder = coder_for_flags(header.flags)
         payload = EntropyPayload(
             coder.coder_id, header.flags,
-            codec=codec, stream=stream, raw=arith,
+            codec=parsed.codec, stream=parsed.stream, raw=parsed.arith,
         )
         nbytes = (
-            int(stream.payload.nbytes) if stream is not None
-            else len(arith or b"")
+            int(parsed.stream.payload.nbytes) if parsed.stream is not None
+            else len(parsed.arith or b"")
         )
         with stage("entropy", nbytes=nbytes):
             codes = coder.decode(
@@ -798,25 +845,121 @@ def _decompress_impl(
             raise ValueError(
                 f"corrupt container: {codes.size} codes for {expected} points"
             )
-        with stage("unpredictable", nbytes=len(unpred_payload)):
-            unpred_recon = decode_unpredictable(
-                unpred_payload, header.unpred_count, header.eb_abs, inner_dtype
-            )
+        unpred_recon = _decode_unpred(parsed)
         plan = _get_plan(header.shape, header.layers, inner_dtype)
         radius = interval_radius(header.interval_bits)
         result = wavefront_decompress(
             codes, unpred_recon, plan, header.eb_abs, radius, inner_dtype,
             workers=workers,
         )
-        if header.mode == "pw_rel":
-            result = pw_postcondition(
-                result, header.side_payload, header.dtype
-            )
-        return result if out is None else _fill_out(result, out)
+        return _postcondition(parsed, result)
     except (EOFError, IndexError) as exc:
         # A corrupted (but length-preserving) payload must fail with the
         # same clean ValueError contract as a truncated container.
         raise ValueError(f"corrupt SZ-1.4 container: {exc}") from exc
+
+
+def _decode_unpred(parsed: ParsedContainer) -> np.ndarray:
+    header = parsed.header
+    with stage("unpredictable", nbytes=len(parsed.unpred_payload)):
+        return decode_unpredictable(
+            parsed.unpred_payload, header.unpred_count, header.eb_abs,
+            parsed.inner_dtype,
+        )
+
+
+def _postcondition(parsed: ParsedContainer, result: np.ndarray) -> np.ndarray:
+    header = parsed.header
+    if header.mode == "pw_rel":
+        return pw_postcondition(result, header.side_payload, header.dtype)
+    return result
+
+
+def _lockstep_ok(parsed: ParsedContainer) -> bool:
+    """May this container join a batched decode?
+
+    Constant and arithmetic-coded containers have no Huffman stream, and
+    codes longer than the flat-table limit would need a two-level table:
+    those decode on their own.
+    """
+    header = parsed.header
+    return (
+        not header.is_constant
+        and parsed.codec is not None
+        and parsed.stream is not None
+        and parsed.codec.flat_decodable
+    )
+
+
+def decompress_batch(parsed: list[ParsedContainer]) -> list[np.ndarray]:
+    """Decode many independent containers together.
+
+    The tiles of a tiled read are independent containers, each too small
+    to pay back NumPy's per-call cost on its own.  Here every Huffman
+    stream of the batch decodes in one lockstep pass
+    (:func:`repro.encoding.huffman.decode_streams`), and containers that
+    share shape, layers, dtype and interval count replay in one
+    wavefront sweep (:func:`repro.core.wavefront.wavefront_decompress_batch`)
+    with each container's bound as a column.  The unpredictable-value
+    decode and ``pw_rel`` post-conditioning stay per container.
+    Constant, arithmetic-coded and wide-code containers, and a lone
+    batchable container, take the whole-array path.  Every result is
+    bit-identical to :func:`decompress` of the same bytes.
+    """
+    results: list[Any] = [None] * len(parsed)
+    batch = {i for i, p in enumerate(parsed) if _lockstep_ok(p)}
+    if len(batch) < 2:
+        # A lone stream decodes faster through the multi-symbol table.
+        batch = set()
+    for i, p in enumerate(parsed):
+        if i not in batch:
+            results[i] = _decode_parsed(p)
+    if not batch:
+        return results
+    # Same-sweep groups sit next to each other in the lockstep output,
+    # so each group's codes are one (B, n) slice of it.
+    groups: dict[tuple[Any, ...], list[int]] = {}
+    for i in sorted(batch):
+        h = parsed[i].header
+        key = (h.shape, h.layers, parsed[i].inner_dtype.str, h.interval_bits)
+        groups.setdefault(key, []).append(i)
+    codecs: list[HuffmanCodec] = []
+    streams: list[EncodedStream] = []
+    for members in groups.values():
+        for i in members:
+            p = parsed[i]
+            assert p.codec is not None and p.stream is not None
+            if p.stream.n_symbols != p.n_values:
+                raise ValueError(
+                    f"corrupt container: {p.stream.n_symbols} codes for "
+                    f"{p.n_values} points"
+                )
+            codecs.append(p.codec)
+            streams.append(p.stream)
+    lanes = sum(int(s.block_bits.size) for s in streams)
+    with span("decompress_batch", tiles=len(streams), lanes=lanes):
+        try:
+            nbytes = sum(int(s.payload.nbytes) for s in streams)
+            with stage("entropy", nbytes=nbytes):
+                codes = decode_streams(codecs, streams)
+            pos = 0
+            for (shape, layers, inner, bits), members in groups.items():
+                n = parsed[members[0]].n_values
+                group_codes = codes[pos : pos + len(members) * n]
+                pos += len(members) * n
+                out = wavefront_decompress_batch(
+                    group_codes.reshape(len(members), n),
+                    [_decode_unpred(parsed[i]) for i in members],
+                    _get_plan(shape, layers, np.dtype(inner)),
+                    [parsed[i].header.eb_abs for i in members],
+                    interval_radius(bits),
+                    np.dtype(inner),
+                )
+                for b, i in enumerate(members):
+                    results[i] = _postcondition(parsed[i], out[b])
+        except (EOFError, IndexError) as exc:
+            raise ValueError(f"corrupt SZ-1.4 container: {exc}") from exc
+    return results
 
 
 def container_info(blob: Any) -> dict[str, Any]:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,28 +87,46 @@ def _classify(values: np.ndarray, eb: float, lo: _Layout):
     return bits, sign, exp, mant, is_zero, is_normal, is_raw
 
 
+@lru_cache(maxsize=64)
+def _keep_masks(dtype_str: str, eb: float) -> tuple[np.ndarray, float]:
+    """Per raw exponent, the bits truncation keeps: ``bits & lut[exp]``.
+
+    Sign and exponent are always kept, plus the ``t`` leading mantissa
+    bits of :func:`_required_bits`.  The all-ones exponent (Inf/NaN)
+    keeps every bit, payloads included.  Also returns the zeroing
+    threshold: ``eb`` capped at the dtype's maximum, so an ``eb`` past
+    it never rounds to inf and zeroes an infinity.
+    """
+    dtype = np.dtype(dtype_str)
+    lo = _layout(dtype)
+    exps = np.arange(1 << lo.exp_bits, dtype=np.uint64)
+    drop = (lo.mant_bits - _required_bits(exps, eb, lo)).astype(np.uint64)
+    full = np.uint64((1 << lo.total_bits) - 1)
+    masks = full ^ ((np.uint64(1) << drop) - np.uint64(1))
+    masks[-1] = full
+    return masks.astype(lo.uint), min(eb, float(np.finfo(dtype).max))
+
+
 def truncate_to_bound(values: np.ndarray, eb: float) -> np.ndarray:
     """Reconstructions the decoder will produce, without building a payload.
 
     The wavefront compressor calls this inline so subsequent predictions
-    see exactly the values a decompressor will see.
+    see exactly the values a decompressor will see.  One mask lookup per
+    value, from a table cached per ``(dtype, eb)``; values within ``eb``
+    of zero become ``+0.0``.
     """
     values = np.asarray(values)
     lo = _layout(values.dtype)
     if eb <= 0:
         raise ValueError("error bound must be positive")
-    bits, sign, exp, mant, is_zero, is_normal, is_raw = _classify(values, eb, lo)
-    t = _required_bits(exp, eb, lo)
-    keep_shift = (lo.mant_bits - t).astype(np.uint64)
-    mant_trunc = (mant >> keep_shift) << keep_shift
-    rebuilt = (
-        (sign << np.uint64(lo.total_bits - 1))
-        | (exp << np.uint64(lo.mant_bits))
-        | mant_trunc
+    masks, zero_limit = _keep_masks(values.dtype.str, float(eb))
+    bits = values.view(lo.uint)
+    exp = (bits >> lo.uint.type(lo.mant_bits)) & lo.uint.type(
+        (1 << lo.exp_bits) - 1
     )
-    out = rebuilt.astype(lo.uint.type).view(values.dtype)
-    out = np.where(is_zero, values.dtype.type(0), out)
-    return np.where(is_raw, values, out)
+    out = (bits & masks.take(exp)).view(values.dtype)
+    out[np.abs(values) <= zero_limit] = 0
+    return out
 
 
 def encode_unpredictable(values: np.ndarray, eb: float) -> tuple[bytes, np.ndarray]:

@@ -33,6 +33,11 @@ Kernel-level optimizations, each pinned byte-identical by
   the maximum plane size and every ufunc writes through ``out=``; the
   accumulation *order* of the prediction sum is preserved exactly
   (including the ``+0.0`` start that normalizes signed zeros).
+* **batched replay** — :func:`wavefront_decompress_batch` replays ``B``
+  same-shape streams (the tiles of a tiled read) in one sweep: the
+  working array is ``(point, stream)`` and each stream's bound is a
+  column, so every per-plane ufunc covers all ``B``.  Whole-array
+  decode is the same kernel at ``B = 1``.
 
 Large multi-dimensional arrays can additionally split each hyperplane
 across a process pool (``workers > 1``); see
@@ -51,7 +56,12 @@ from repro.core.quantizer import UNPREDICTABLE, resolve_interior_dtype
 from repro.core.unpredictable import truncate_to_bound
 from repro.perf import stage
 
-__all__ = ["WavefrontPlan", "wavefront_compress", "wavefront_decompress"]
+__all__ = [
+    "WavefrontPlan",
+    "wavefront_compress",
+    "wavefront_decompress",
+    "wavefront_decompress_batch",
+]
 
 #: Upper bound on precomputed gather-table memory per plan.  Beyond this
 #: the kernels rebuild each plane's indices on the fly (identical output,
@@ -415,6 +425,29 @@ def wavefront_decompress(
         )
 
 
+def wavefront_decompress_batch(
+    codes: np.ndarray,
+    unpred_recon: list[np.ndarray],
+    plan: WavefrontPlan,
+    ebs: list[float],
+    radius: int,
+    out_dtype: np.dtype,
+) -> np.ndarray:
+    """Replay ``B`` same-shape streams in one sweep; returns ``(B, *shape)``.
+
+    ``codes`` is ``(B, n)`` in wavefront order, one row per stream;
+    ``unpred_recon[b]`` and ``ebs[b]`` are stream ``b``'s unpredictable
+    reconstructions and absolute bound.  Every stream shares the plan
+    (shape, layers, dtype) and ``radius``.  Row ``b`` of the result is
+    bit-identical to :func:`wavefront_decompress` of stream ``b`` alone:
+    the arithmetic per element is the same, and the bound rides along
+    as a column.
+    """
+    n_out = int(codes.size)
+    with stage("dequantize", nbytes=n_out * np.dtype(out_dtype).itemsize):
+        return _replay(codes, unpred_recon, plan, ebs, radius, out_dtype)
+
+
 def _wavefront_decompress(
     codes: np.ndarray,
     unpred_recon: np.ndarray,
@@ -423,77 +456,129 @@ def _wavefront_decompress(
     radius: int,
     out_dtype: np.dtype,
 ) -> np.ndarray:
+    """Serial replay of one stream: the batch kernel at ``B = 1``."""
+    return _replay(
+        codes.reshape(1, -1), [unpred_recon], plan, [eb], radius, out_dtype
+    )[0]
+
+
+def _replay(
+    codes: np.ndarray,
+    unpred_recon: list[np.ndarray],
+    plan: WavefrontPlan,
+    ebs: list[float],
+    radius: int,
+    out_dtype: np.dtype,
+) -> np.ndarray:
+    """The one dequantize kernel: ``(B, n)`` codes to ``(B, *shape)``."""
+    batch = codes.shape[0]
     if len(plan.shape) == 1:
-        return _decompress_1d(
-            codes, unpred_recon, plan.shape[0], plan.n, eb, radius, out_dtype
-        )
+        out = np.empty((batch,) + plan.shape, dtype=out_dtype)
+        for b in range(batch):
+            out[b] = _decompress_1d(
+                codes[b], unpred_recon[b], plan.shape[0], plan.n, ebs[b],
+                radius, out_dtype,
+            )
+        return out
+    # The working array is (point, stream): each hyperplane is a
+    # contiguous block of rows, so gathers and stores stay row slices
+    # and every per-plane ufunc covers all B streams at once.  A single
+    # stream runs on 1-D views (batch shape ``()``), the exact
+    # whole-array kernel.
     out_dtype = np.dtype(out_dtype)
     idt = _effective_interior(plan, out_dtype)
     store_f32 = idt == np.float32
     f32_out = out_dtype == np.float32
+    lanes: tuple[int, ...] = () if batch == 1 else (batch,)
     n_points = plan.order.size
-    dec_wf = np.zeros(n_points + 1, dtype=idt)
+    dec_wf = np.zeros((n_points + 1,) + lanes, dtype=idt)
+    codes_pb = codes.reshape(-1) if batch == 1 else codes.T
     coeffs, signs, tables = plan.coeffs, plan.signs, plan.gather_tables
     miss_all = codes == UNPREDICTABLE
-    total_miss = int(miss_all.sum(dtype=np.int64))
-    unpred_vals = (
-        unpred_recon
-        if unpred_recon.dtype == idt
-        else unpred_recon.astype(idt)
-    )
-    upos = 0
-    two_eb = 2.0 * eb
+    counts = miss_all.sum(axis=1, dtype=np.int64)
+    for b in range(batch):
+        if int(counts[b]) != unpred_recon[b].size:
+            raise ValueError(
+                "corrupt stream: unpredictable-value count mismatch "
+                f"({int(counts[b])} coded, {unpred_recon[b].size} stored)"
+            )
+    total_miss = int(counts.sum(dtype=np.int64))
+    plane_miss = None
+    if total_miss:
+        # Unpredictable values go straight to their slots; a plane with
+        # misses then keeps them over its predicted values.
+        rows, pts = np.nonzero(miss_all)
+        vals = np.concatenate(unpred_recon).astype(idt, copy=False)
+        if batch == 1:
+            dec_wf[1 + pts] = vals
+            miss_pb = miss_all.reshape(-1)
+            any_miss = miss_pb
+        else:
+            dec_wf[1 + pts, rows] = vals
+            miss_pb = miss_all.T
+            any_miss = miss_all.any(axis=0)
+        starts = np.fromiter(
+            (g[0] for g in plan.groups), dtype=np.int64, count=len(plan.groups)
+        )
+        plane_miss = np.add.reduceat(
+            any_miss.astype(np.int64), starts, dtype=np.int64
+        )
+    if batch == 1:
+        two_eb = 2.0 * float(ebs[0])
+    else:
+        two_eb = 2.0 * np.asarray(ebs, dtype=np.float64)
     fradius = float(radius)
-    msize = plan.max_group
+    msize = (plan.max_group,) + lanes
     pred_s = np.empty(msize, dtype=np.float64)
     tmp_s = np.empty(msize, dtype=np.float64)
     work_s = np.empty(msize, dtype=np.float64)
     rc_s = np.empty(msize, dtype=np.float32) if f32_out else None
-    for gi, (start, end) in enumerate(plan.groups):
-        m = end - start
-        tab = tables[gi] if tables is not None else plan.plane_table(start, end)
-        gathered = dec_wf.take(tab)
-        nbr = gathered.astype(np.float64) if store_f32 else gathered
-        pred = pred_s[:m]
-        pred.fill(0.0)
-        if signs is not None:
-            for k in range(len(signs)):
-                if signs[k] > 0:
-                    np.add(pred, nbr[k], out=pred)
-                else:
-                    np.subtract(pred, nbr[k], out=pred)
-        else:
-            tmp = tmp_s[:m]
-            for k in range(len(coeffs)):
-                np.multiply(nbr[k], coeffs[k], out=tmp)
-                np.add(pred, tmp, out=pred)
-        work = work_s[:m]
-        work[...] = codes[start:end]  # int64 -> float64 cast
-        np.subtract(work, fradius, out=work)
-        np.multiply(work, two_eb, out=work)
-        np.add(pred, work, out=work)  # work = recon, pre-rounding
-        if f32_out:
-            rc = rc_s[:m]
-            rc[...] = work  # round through the output dtype
-            recon = rc
-        else:
-            recon = work
-        if f32_out and not store_f32:
-            recon = work
-            recon[...] = rc
-        if total_miss:
-            mask = miss_all[start:end]
-            nmiss = int(mask.sum(dtype=np.int64))
-            if nmiss:
-                recon[mask] = unpred_vals[upos : upos + nmiss]
-                upos += nmiss
-        dec_wf[1 + start : 1 + end] = recon
-    if upos != unpred_recon.size:
-        raise ValueError(
-            "corrupt stream: unpredictable-value count mismatch "
-            f"({upos} consumed, {unpred_recon.size} stored)"
-        )
-    return _wavefront_to_raster(dec_wf, plan, out_dtype)
+    # Rounding float64 recon through float32 may overflow to inf for
+    # extreme fields; that inf is the value the encoder stored too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for gi, (start, end) in enumerate(plan.groups):
+            m = end - start
+            tab = (
+                tables[gi] if tables is not None
+                else plan.plane_table(start, end)
+            )
+            gathered = dec_wf.take(tab, axis=0)
+            nbr = gathered.astype(np.float64) if store_f32 else gathered
+            pred = pred_s[:m]
+            pred.fill(0.0)
+            if signs is not None:
+                for k in range(len(signs)):
+                    if signs[k] > 0:
+                        np.add(pred, nbr[k], out=pred)
+                    else:
+                        np.subtract(pred, nbr[k], out=pred)
+            else:
+                tmp = tmp_s[:m]
+                for k in range(len(coeffs)):
+                    np.multiply(nbr[k], coeffs[k], out=tmp)
+                    np.add(pred, tmp, out=pred)
+            work = work_s[:m]
+            work[...] = codes_pb[start:end]  # int64 -> float64 cast
+            np.subtract(work, fradius, out=work)
+            np.multiply(work, two_eb, out=work)
+            np.add(pred, work, out=work)  # work = recon, pre-rounding
+            if f32_out:
+                rc = rc_s[:m]
+                rc[...] = work  # round through the output dtype
+                recon = rc
+            else:
+                recon = work
+            if f32_out and not store_f32:
+                recon = work
+                recon[...] = rc
+            dst = dec_wf[1 + start : 1 + end]
+            if plane_miss is not None and plane_miss[gi]:
+                np.copyto(recon, dst, where=miss_pb[start:end])
+            dst[...] = recon
+    out = np.empty((batch, n_points), dtype=out_dtype)
+    for b in range(batch):
+        out[b][plan.order] = dec_wf[1:] if batch == 1 else dec_wf[1:, b]
+    return out.reshape((batch,) + plan.shape)
 
 
 def _compress_1d(
@@ -510,28 +595,32 @@ def _compress_1d(
     two_eb = 2.0 * eb
     xs = x64.tolist()
     cast = out_dtype.type
-    for i in range(N):
-        pred = 0.0
-        for k in range(n):
-            pred += coeffs[k] * dec[i + n - 1 - k]
-        x = xs[i]
-        d = (x - pred) / two_eb
-        # The range gate is also the NaN/Inf guard: a non-finite x (or a
-        # prediction poisoned by a raw-stored Inf neighbour) fails the
-        # comparison and falls through to the unpredictable path, exactly
-        # like the vectorized N-d kernel.
-        if -radius < d < radius:
-            q = round(d)
-            if -radius < q < radius:
-                recon = float(cast(pred + q * two_eb))
-                if abs(x - recon) <= eb and np.isfinite(recon):
-                    codes[i] = q + radius
-                    dec[i + n] = recon
-                    continue
-        unpred_idx.append(i)
-        dec[i + n] = float(
-            truncate_to_bound(np.array([x], dtype=out_dtype), eb)[0]
-        )
+    # Extreme finite inputs overflow the float64 residual; the range
+    # gate below routes them to the unpredictable path, as in the N-d
+    # kernel.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(N):
+            pred = 0.0
+            for k in range(n):
+                pred += coeffs[k] * dec[i + n - 1 - k]
+            x = xs[i]
+            d = (x - pred) / two_eb
+            # The range gate is also the NaN/Inf guard: a non-finite x (or a
+            # prediction poisoned by a raw-stored Inf neighbour) fails the
+            # comparison and falls through to the unpredictable path, exactly
+            # like the vectorized N-d kernel.
+            if -radius < d < radius:
+                q = round(d)
+                if -radius < q < radius:
+                    recon = float(cast(pred + q * two_eb))
+                    if abs(x - recon) <= eb and np.isfinite(recon):
+                        codes[i] = q + radius
+                        dec[i + n] = recon
+                        continue
+            unpred_idx.append(i)
+            dec[i + n] = float(
+                truncate_to_bound(np.array([x], dtype=out_dtype), eb)[0]
+            )
     unpredictable = data[np.array(unpred_idx, dtype=np.int64)] if unpred_idx else np.zeros(0, dtype=out_dtype)
     decompressed = dec[n:].astype(out_dtype)
     hit_rate = 1.0 - len(unpred_idx) / max(1, N)
@@ -554,16 +643,17 @@ def _decompress_1d(
     upos = 0
     two_eb = 2.0 * eb
     cast = np.dtype(out_dtype).type
-    for i in range(N):
-        code = codes_l[i]
-        if code == UNPREDICTABLE:
-            dec[i + n] = unpred64[upos]
-            upos += 1
-        else:
-            pred = 0.0
-            for k in range(n):
-                pred += coeffs[k] * dec[i + n - 1 - k]
-            dec[i + n] = float(cast(pred + (code - radius) * two_eb))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(N):
+            code = codes_l[i]
+            if code == UNPREDICTABLE:
+                dec[i + n] = unpred64[upos]
+                upos += 1
+            else:
+                pred = 0.0
+                for k in range(n):
+                    pred += coeffs[k] * dec[i + n - 1 - k]
+                dec[i + n] = float(cast(pred + (code - radius) * two_eb))
     if upos != len(unpred64):
         raise ValueError("corrupt stream: unpredictable-value count mismatch")
     return dec[n:].astype(out_dtype)

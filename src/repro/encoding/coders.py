@@ -150,6 +150,13 @@ class HuffmanEntropyCoder:
     ) -> np.ndarray:
         if payload.codec is None or payload.stream is None:
             raise ValueError("huffman payload lost its codec/stream pair")
+        if payload.stream.n_symbols != expected:
+            # Checked before decoding: a corrupt symbol count must not
+            # size the output buffer.
+            raise ValueError(
+                f"corrupt container: {payload.stream.n_symbols} codes for "
+                f"{expected} points"
+            )
         return payload.codec.decode(payload.stream)
 
 

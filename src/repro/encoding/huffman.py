@@ -15,8 +15,16 @@ alphabet size.  This module does the same for the reproduction:
   all chunks in lockstep — one table lookup round decodes one symbol per
   chunk.  A scalar reference decoder is kept for verification.
 
-The two-level decode table (primary prefix table + per-prefix subtables)
-keeps memory bounded even for 17+-bit codes on 65537-symbol alphabets.
+Two decoders share that design.  A lone long stream (whole-array
+``decompress``) goes through :meth:`HuffmanCodec.decode`: the
+multi-symbol fused table for codes up to ``_MULTI_TABLE_BITS``, a flat
+single-symbol table up to ``_FLAT_TABLE_BITS``, and a two-level table
+(primary prefix table + per-prefix subtables, bounded memory even for
+long codes on 65537-symbol alphabets) beyond.  Many short streams (the
+tiles of a tiled read) go through :func:`decode_streams`: one lockstep
+pass whose lanes are every block of every stream, each decoding through
+its own stream's flat table.  The flat and two-level cases of a lone
+stream are that same lockstep decoder with one stream.
 """
 
 from __future__ import annotations
@@ -38,7 +46,12 @@ from repro.encoding.bitio import (
 from repro.obs.tracer import active_collector
 from repro.perf import stage
 
-__all__ = ["HuffmanCodec", "EncodedStream", "huffman_code_lengths"]
+__all__ = [
+    "EncodedStream",
+    "HuffmanCodec",
+    "decode_streams",
+    "huffman_code_lengths",
+]
 
 _PRIMARY_BITS = 13
 _DEFAULT_BLOCK = 4096
@@ -216,8 +229,8 @@ class _TwoLevelTables:
     """
 
     primary_bits: int
-    primary: np.ndarray  # int64 (2^primary_bits,), (sym << 6) | len
-    secondary: np.ndarray  # int64, concatenated subtable chunks
+    primary: np.ndarray  # int32 (2^primary_bits,), (sym << 6) | len
+    secondary: np.ndarray  # int32, concatenated subtable chunks
     sub_base: np.ndarray  # int64, chunk start offsets into secondary
     sub_depth: int
 
@@ -295,7 +308,7 @@ def _build_two_level_tables(
     lengths: np.ndarray, codes: np.ndarray, max_len: int
 ) -> _TwoLevelTables:
     primary_bits = max_len if max_len <= _FLAT_TABLE_BITS else _PRIMARY_BITS
-    primary = np.zeros(1 << primary_bits, dtype=np.int64)
+    primary = np.zeros(1 << primary_bits, dtype=np.int32)
     order, lens_sorted = _sorted_present(lengths)
     short = lens_sorted <= primary_bits
     if short.any():
@@ -313,7 +326,7 @@ def _build_two_level_tables(
         prefix = code >> (length - primary_bits)
         if prefix not in sub_prefixes:
             sub_prefixes[prefix] = len(sub_chunks)
-            sub_chunks.append(np.zeros(1 << sub_depth, dtype=np.int64))
+            sub_chunks.append(np.zeros(1 << sub_depth, dtype=np.int32))
             primary[prefix] = -(sub_prefixes[prefix] + 1)
         table = sub_chunks[sub_prefixes[prefix]]
         rem_len = length - primary_bits
@@ -324,7 +337,7 @@ def _build_two_level_tables(
     secondary = (
         np.concatenate(sub_chunks)
         if sub_chunks
-        else np.zeros(0, dtype=np.int64)
+        else np.zeros(0, dtype=np.int32)
     )
     sub_base = np.arange(len(sub_chunks), dtype=np.int64) * (1 << sub_depth)
     return _TwoLevelTables(primary_bits, primary, secondary, sub_base, sub_depth)
@@ -336,18 +349,15 @@ _TABLE_CACHE: OrderedDict[
 _TABLE_CACHE_LOCK = threading.Lock()
 _TABLE_CACHE_SLOTS = 64
 _TABLE_CACHE_BYTES = 128 << 20
-"""Process-level decode-table LRU: tiled decompression parses one codec
-per tile, and re-reading the same container (repeated region queries,
-a second full decode) re-parses the same length tables — the tables
-(the expensive part) are reusable.  Keyed by the canonical lengths
-array plus the variant thresholds (so a monkeypatched threshold can
-never serve a stale layout).  Evicts on slot count *and* total table
-bytes: a wide multi table (width 20, k = 8) alone is ~42 MB, so slots
-alone would not bound memory.  The slot count must comfortably exceed
-a typical container's distinct-table count: cyclic tile order over an
-LRU smaller than the working set evicts every entry just before its
-next use (0% hit rate at N tables > N slots), so small tile tables
-should be bounded by bytes, not slots."""
+"""Process-level decode-table LRU for :meth:`HuffmanCodec.decode`:
+decoding the same blob again (or a blob with the same length table)
+skips the table build.  Batched tiled reads do not fill it: each tile's
+flat table in a lockstep pass is small and built fresh, while a field of
+120 tiles would cycle through 64 slots without a single hit.  Keyed by
+the canonical lengths array plus the variant thresholds (so a
+monkeypatched threshold can never serve a stale layout).  Evicts on slot
+count *and* total table bytes: a wide multi table (width 20, k = 8)
+alone is ~42 MB, so slots alone would not bound memory."""
 
 
 def _tables_nbytes(tables: _DecodeTables) -> int:
@@ -432,6 +442,8 @@ class EncodedStream:
         n_symbols = int.from_bytes(buf[0:6], "big")
         block_size = int.from_bytes(buf[6:10], "big")
         payload_len = int.from_bytes(buf[10:16], "big")
+        if n_symbols and not block_size:
+            raise EOFError("corrupt EncodedStream header: zero block size")
         nblocks = (
             0 if n_symbols == 0 else -(-n_symbols // block_size)
         )
@@ -751,18 +763,36 @@ class HuffmanCodec:
             return self._decode_impl(stream)
 
     def _decode_impl(self, stream: EncodedStream) -> np.ndarray:
+        _check_payload_bits(stream)
         tables = self._build_decode_tables()
         if isinstance(tables, _MultiTables):
             out, rounds, lookups = self._decode_multi(stream, tables)
         else:
-            out, rounds, lookups = self._decode_two_level(stream, tables)
-        collector = active_collector()
-        if collector is not None and lookups:
-            collector.add("huffman/rounds", float(rounds))
-            collector.observe(
-                "huffman/symbols_per_lookup", stream.n_symbols / lookups
-            )
+            out = np.empty(stream.n_symbols, dtype=np.int64)
+            rounds, lookups = _decode_lockstep([stream], [tables], out)
+        _record_pass(1, stream.n_symbols, rounds, lookups)
         return out
+
+    @property
+    def flat_decodable(self) -> bool:
+        """Does the code fit a flat table (a lockstep pass)?"""
+        return max(self.max_len, 1) <= _FLAT_TABLE_BITS
+
+    def flat_tables(self) -> _TwoLevelTables:
+        """A fresh single-symbol table ``max_len`` bits wide.
+
+        The per-stream table of a lockstep pass (:func:`decode_streams`):
+        ``2^max_len`` int32 entries, built in one ``np.repeat`` and not
+        cached — its cost scales with the code, not a fixed window.
+        """
+        if not self.flat_decodable:
+            raise ValueError(
+                f"code length {self.max_len} exceeds the "
+                f"{_FLAT_TABLE_BITS}-bit flat decode table"
+            )
+        return _build_two_level_tables(
+            self.lengths, self.codes, max(self.max_len, 1)
+        )
 
     def _decode_multi(
         self, stream: EncodedStream, tables: _MultiTables
@@ -971,82 +1001,6 @@ class HuffmanCodec:
             raise ValueError("corrupt Huffman stream: block length mismatch")
         return out, rounds, lookups
 
-    def _decode_two_level(
-        self, stream: EncodedStream, tables: _TwoLevelTables
-    ) -> tuple[np.ndarray, int, int]:
-        # Round ``r`` decodes symbol ``r`` of every still-active block.
-        # Two standing optimizations over the textbook formulation:
-        #
-        # * the payload's 8-byte windows are materialized once
-        #   (``byte_windows64``), so each round is a gather + shift
-        #   instead of an 8-pass window rebuild;
-        # * only the *last* block can be short, so the active set is
-        #   always a prefix of the block arrays — no per-round
-        #   ``flatnonzero``.
-        #
-        # With ``primary_bits == max_len`` (the fused flat layout, codes
-        # up to ``_FLAT_TABLE_BITS``) the secondary is empty and the
-        # ``long_mask`` branch below never fires.
-        n = stream.n_symbols
-        out = np.zeros(n, dtype=np.int64)
-        if n == 0:
-            return out, 0, 0
-        primary_bits = tables.primary_bits
-        primary, secondary = tables.primary, tables.secondary
-        sub_base, sub_depth = tables.sub_base, tables.sub_depth
-        max_len = max(self.max_len, 1)
-        nblocks = stream.block_bits.size
-        cursors = np.zeros(nblocks, dtype=np.int64)
-        np.cumsum(stream.block_bits[:-1].astype(np.int64), out=cursors[1:])
-        end_bits = cursors + stream.block_bits.astype(np.int64)
-        last_count = n - stream.block_size * (nblocks - 1)
-        out_starts = np.arange(nblocks, dtype=np.int64) * stream.block_size
-        payload = stream.payload
-        # Materializing every 8-byte window costs 8x the payload in RAM —
-        # a clear win for the common (tiled / mid-size) case, but a
-        # multi-hundred-MB payload must fall back to gathering the
-        # windows per round instead.
-        materialize = payload.size <= _WINDOW_MATERIALIZE_LIMIT
-        if materialize:
-            windows = byte_windows64(payload)
-        else:
-            padded = np.concatenate([payload, np.zeros(8, dtype=np.uint8)])
-        max_byte = payload.size  # clamp: corrupt cursors must not escape
-        prim_shift = np.uint64(64 - primary_bits)
-        rem_shift = np.uint64(64 - max_len)
-        rem_mask = (1 << sub_depth) - 1
-        rounds = 0
-        lookups = 0
-        for r in range(stream.block_size):
-            na = nblocks if r < last_count else nblocks - 1
-            if na == 0:
-                break
-            rounds += 1
-            lookups += na
-            cur = cursors[:na]
-            byte0 = np.minimum(cur >> 3, max_byte)
-            skew = (cur & 7).astype(np.uint64)
-            if materialize:
-                window = windows[byte0] << skew
-            else:
-                window = gather_windows64(padded, byte0) << skew
-            idx = (window >> prim_shift).astype(np.int64)
-            entry = primary[idx]
-            long_mask = entry < 0
-            if long_mask.any():
-                sub_idx = -entry[long_mask] - 1
-                rem = (window[long_mask] >> rem_shift).astype(
-                    np.int64
-                ) & rem_mask
-                entry[long_mask] = secondary[sub_base[sub_idx] + rem]
-            if not entry.all():
-                raise ValueError("corrupt Huffman stream: invalid codeword")
-            out[out_starts[:na] + r] = entry >> 6
-            cur += entry & 63
-        if not np.array_equal(cursors, end_bits):
-            raise ValueError("corrupt Huffman stream: block length mismatch")
-        return out, rounds, lookups
-
     def decode_scalar(self, stream: EncodedStream) -> np.ndarray:
         """Bit-by-bit reference decoder (slow; used to validate ``decode``)."""
         lookup = {
@@ -1084,3 +1038,218 @@ class HuffmanCodec:
         """Total encoded size (bits) of a source with the given counts."""
         freqs = np.asarray(freqs, dtype=np.float64)
         return float(np.sum(freqs * self.lengths, dtype=np.float64))
+
+
+_LOCKSTEP_TABLE_BYTES = 64 << 20
+"""Cap on the concatenated flat tables of one lockstep pass; a group
+whose tables would exceed it is split into several passes."""
+
+
+def _check_payload_bits(stream: EncodedStream) -> None:
+    """Reject a block index that claims more bits than the payload holds.
+
+    A decoder would otherwise read past the payload: zero padding for a
+    lone stream, the next stream's bytes in a lockstep pass.
+    """
+    if stream.total_bits > 8 * int(stream.payload.size):
+        raise ValueError(
+            "corrupt Huffman stream: block bits exceed the payload"
+        )
+
+
+def _record_pass(
+    n_streams: int, n_symbols: int, rounds: int, lookups: int
+) -> None:
+    """Fold one decode pass into the active collector's metrics."""
+    collector = active_collector()
+    if collector is None:
+        return
+    collector.observe("huffman/streams_per_pass", float(n_streams))
+    if lookups:
+        collector.add("huffman/rounds", float(rounds))
+        collector.observe("huffman/symbols_per_lookup", n_symbols / lookups)
+
+
+def decode_streams(
+    codecs: list[HuffmanCodec], streams: list[EncodedStream]
+) -> np.ndarray:
+    """Decode many independent streams in lockstep passes.
+
+    Returns the streams' symbols concatenated in stream order.
+
+    Every block of every stream becomes one lane of a single round loop
+    (:func:`_decode_lockstep`), so N small streams — the tiles of a
+    tiled read — pay NumPy's per-call cost once per round instead of
+    once per stream.  Each codec decodes through its own flat table
+    (:meth:`HuffmanCodec.flat_tables`), so every ``max_len`` must fit
+    ``_FLAT_TABLE_BITS``.  Output is identical to ``codec.decode``.
+    """
+    if len(codecs) != len(streams):
+        raise ValueError("decode_streams needs one codec per stream")
+    sizes = [s.n_symbols for s in streams]
+    out = np.empty(sum(sizes), dtype=np.int64)
+    nbytes = sum(int(s.payload.nbytes) for s in streams)
+    with stage("huffman_decode", nbytes=nbytes):
+        for s in streams:
+            _check_payload_bits(s)
+        tables = [c.flat_tables() for c in codecs]
+        lo = pos = 0
+        while lo < len(tables):
+            # Greedy passes under the table budget (always >= 1 stream).
+            hi, size = lo + 1, tables[lo].primary.nbytes
+            while hi < len(tables) and (
+                size + tables[hi].primary.nbytes <= _LOCKSTEP_TABLE_BYTES
+            ):
+                size += tables[hi].primary.nbytes
+                hi += 1
+            n = sum(sizes[lo:hi])
+            rounds, lookups = _decode_lockstep(
+                streams[lo:hi], tables[lo:hi], out[pos : pos + n]
+            )
+            _record_pass(hi - lo, n, rounds, lookups)
+            lo, pos = hi, pos + n
+    return out
+
+
+def _decode_lockstep(
+    streams: list[EncodedStream],
+    tables: list[_TwoLevelTables],
+    out: np.ndarray,
+) -> tuple[int, int]:
+    """Decode N blocked streams in one round loop into ``out``.
+
+    ``out`` receives the streams' symbols concatenated in stream order;
+    returns ``(rounds, lookups)``.
+
+    Every block of every stream is a *lane*.  Round ``r`` decodes symbol
+    ``r`` of every lane: one 8-byte window gather at the lane's bit
+    cursor, one index into the lane's table, one cursor advance.  The
+    streams' payloads and tables are concatenated, and each lane carries
+    its table's offset and index shift, so lanes of different streams
+    share every NumPy call.  N = 1 is the whole-array flat and two-level
+    decoder; only a lone stream may carry a two-level secondary.
+
+    All lanes run for the longest block's count.  A lane past its own
+    count decodes ignored bytes: its cursor is snapshotted when it
+    finishes, and its later entries are dropped.  Entries are staged
+    ``(round, lane)``, so each round stores one contiguous row, and the
+    codeword check runs once over the staged rows at the end; an
+    invalid window (entry 0) stalls its lane, so nothing escapes before
+    that check.  Lanes are ordered stream by stream, block by block —
+    the order of the concatenated output — which makes the final
+    extraction a transpose.
+    """
+    live = [i for i, s in enumerate(streams) if s.n_symbols]
+    if not live:
+        return 0, 0
+    if len(streams) == 1:
+        payload = streams[0].payload
+        primary = tables[0].primary
+    else:
+        payload = np.concatenate([streams[i].payload for i in live])
+        primary = np.concatenate([tables[i].primary for i in live])
+    two_level = tables[0].secondary.size > 0
+    assert not two_level or len(streams) == 1  # flat tables only in batches
+    starts_l: list[np.ndarray] = []
+    ends_l: list[np.ndarray] = []
+    counts_l: list[np.ndarray] = []
+    base_l: list[np.ndarray] = []
+    shift_l: list[np.ndarray] = []
+    byte_off = 0
+    tab_off = 0
+    for i in live:
+        s, t = streams[i], tables[i]
+        bits = s.block_bits.astype(np.int64)
+        nb = bits.size
+        st = np.zeros(nb, dtype=np.int64)
+        np.cumsum(bits[:-1], out=st[1:])
+        st += 8 * byte_off
+        cnt = np.full(nb, s.block_size, dtype=np.int64)
+        cnt[-1] = s.n_symbols - s.block_size * (nb - 1)
+        starts_l.append(st)
+        ends_l.append(st + bits)
+        counts_l.append(cnt)
+        base_l.append(np.full(nb, tab_off, dtype=np.int64))
+        shift_l.append(np.full(nb, 64 - t.primary_bits, dtype=np.uint64))
+        byte_off += int(s.payload.size)
+        tab_off += int(t.primary.size)
+    cur = np.concatenate(starts_l)
+    end_bits = np.concatenate(ends_l)
+    counts = np.concatenate(counts_l)
+    base = np.concatenate(base_l)
+    ushift = np.concatenate(shift_l)
+    n_lanes = cur.size
+    n_rounds = int(counts.max())
+    # Lanes that finish early, keyed by their final round.
+    finish: dict[int, np.ndarray] = {}
+    short = np.flatnonzero(counts < n_rounds)
+    if short.size:
+        ends_at, which = np.unique(counts[short], return_inverse=True)
+        for j, c in enumerate(ends_at.tolist()):
+            finish[c] = short[which == j]
+    final = np.empty(n_lanes, dtype=np.int64)
+    materialize = payload.size <= _WINDOW_MATERIALIZE_LIMIT
+    if materialize:
+        # Clip is the corrupt-cursor clamp: the last window is all
+        # padding, as for a cursor past the payload.
+        windows = byte_windows64(payload).view(np.int64)
+    else:
+        padded = np.concatenate([payload, np.zeros(8, dtype=np.uint8)])
+    max_byte = payload.size
+    if two_level:
+        t0 = tables[0]
+        secondary, sub_base = t0.secondary, t0.sub_base
+        rem_shift = np.int64(64 - (t0.primary_bits + t0.sub_depth))
+        rem_mask = np.int64((1 << t0.sub_depth) - 1)
+    staged = np.zeros((n_rounds, n_lanes), dtype=primary.dtype)
+    # Per-round scratch: every ufunc writes through ``out=`` and the
+    # table gather lands straight in its staged row.
+    byte = np.empty(n_lanes, dtype=np.int64)
+    skew = np.empty(n_lanes, dtype=np.int64)
+    width = np.empty(n_lanes, dtype=np.int64)
+    w = np.empty(n_lanes, dtype=np.int64)
+    w_u = w.view(np.uint64)
+    for r in range(n_rounds):
+        np.right_shift(cur, 3, out=byte)
+        if materialize:
+            windows.take(byte, mode="clip", out=w)
+        else:
+            np.minimum(byte, max_byte, out=byte)
+            w_u[...] = gather_windows64(padded, byte)
+        # Shifts run on the int64 view: the bit patterns match uint64,
+        # and the index shift reinterprets as uint64 (logical shift).
+        np.bitwise_and(cur, 7, out=skew)
+        w <<= skew
+        if two_level:
+            window = w.copy()
+        np.right_shift(w_u, ushift, out=w_u)
+        w += base
+        entry = staged[r]
+        primary.take(w, out=entry)
+        if two_level:
+            long_mask = entry < 0
+            if long_mask.any():
+                sub_idx = -entry[long_mask].astype(np.int64) - 1
+                rem = (window[long_mask] >> rem_shift) & rem_mask
+                entry[long_mask] = secondary[sub_base[sub_idx] + rem]
+        np.bitwise_and(entry, 63, out=width)
+        cur += width
+        done = finish.get(r + 1)
+        if done is not None:
+            final[done] = cur[done]
+    full = counts == n_rounds
+    final[full] = cur[full]
+    if full.all():
+        lanes = staged.T
+        if not staged.all():
+            raise ValueError("corrupt Huffman stream: invalid codeword")
+        np.right_shift(lanes, 6, out=out.reshape(n_lanes, n_rounds))
+    else:
+        active = np.arange(n_rounds, dtype=np.int64) < counts[:, None]
+        picked = staged.T[active]
+        if not picked.all():
+            raise ValueError("corrupt Huffman stream: invalid codeword")
+        np.right_shift(picked, 6, out=out)
+    if not np.array_equal(final, end_bits):
+        raise ValueError("corrupt Huffman stream: block length mismatch")
+    return n_rounds, int(counts.sum(dtype=np.int64))

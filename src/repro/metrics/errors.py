@@ -60,7 +60,15 @@ def rmse(original: np.ndarray, reconstructed: np.ndarray) -> float:
     mask = np.isfinite(a) & np.isfinite(b)
     if not mask.any():
         return 0.0
-    return float(np.sqrt(np.mean((a[mask] - b[mask]) ** 2)))
+    err = a[mask] - b[mask]
+    with np.errstate(over="ignore"):
+        value = float(np.sqrt(np.mean(err**2)))
+        if value == float("inf"):
+            # Errors past ~1e154 square to inf; scale by the largest
+            # first (only here, so ordinary inputs round as before).
+            peak = float(np.abs(err).max())
+            value = peak * float(np.sqrt(np.mean((err / peak) ** 2)))
+    return value
 
 
 def nrmse(original: np.ndarray, reconstructed: np.ndarray) -> float:

@@ -1,7 +1,10 @@
 """Benchmark runner: sweep the compressor and emit ``BENCH_micro.json``.
 
 Runs ``{dtype} x {dims} x {mode}`` compression/decompression cases at a
-chosen size scale, aggregates medians over repeats, and writes a
+chosen size scale, plus one tiled case (``2d-f32-rel-tiled64``: the
+2-D field in 64x64 tiles, never below the ``small`` scale, so the
+batched tiled read clears the gate's noise floor), aggregates medians
+over repeats, and writes a
 schema-versioned JSON report with machine info, git revision, end-to-end
 throughput and the per-stage breakdown collected by
 :mod:`repro.perf.timer`.  The committed ``BENCH_*.json`` files form the
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import platform
@@ -48,6 +52,7 @@ __all__ = [
 ]
 
 SCHEMA = "repro-bench/1"
+TILED_CASE = "2d-f32-rel-tiled64"
 
 #: per-scale shapes, indexed by dimensionality
 SCALES: dict[str, dict[int, tuple[int, ...]]] = {
@@ -134,20 +139,27 @@ def _run_case(
     mode: str,
     repeats: int,
     workers: int = 1,
+    tile_shape: tuple[int, ...] | None = None,
 ) -> dict[str, Any]:
+    """One compress/decompress case; ``tile_shape`` makes it tiled."""
     from repro.api import Codec
     from repro.obs import Collector
 
     field = synth_field(shape, dtype, seed=len(shape))
     codec = Codec(_mode_config(mode, workers=workers))
+    if tile_shape is None:
+        encode, decode = codec.encode, codec.decode
+    else:
+        encode = functools.partial(codec.encode_tiled, tile_shape=tile_shape)
+        decode = codec.decode_tiled
     # warm-up: plan caches, first-touch allocations.  Run it under a
     # private collector — the codec metrics (outlier counts, Huffman
     # table shape, compression factor) are deterministic for a seeded
     # field, so they ride along in the report without touching the
     # timed repeats below.
     with Collector() as obs:
-        blob = codec.encode(field)
-        codec.decode(blob)
+        blob = encode(field)
+        decode(blob)
     obs_metrics = {
         "counters": dict(sorted(obs.counters.items())),
         "observations": {
@@ -163,19 +175,19 @@ def _run_case(
     for _ in range(repeats):
         with StageTimer() as ct:
             t0 = time.perf_counter()
-            blob = codec.encode(field)
+            blob = encode(field)
             c_times.append(time.perf_counter() - t0)
         c_timers.append(ct)
         with StageTimer() as dt_:
             t0 = time.perf_counter()
-            out = codec.decode(blob)
+            out = decode(blob)
             d_times.append(time.perf_counter() - t0)
         d_timers.append(dt_)
     if out.shape != field.shape:
         raise RuntimeError(f"bench case {name}: round-trip shape mismatch")
     c_sec = _median(c_times)
     d_sec = _median(d_times)
-    return {
+    case: dict[str, Any] = {
         "name": name,
         "dtype": dtype,
         "ndim": len(shape),
@@ -196,6 +208,9 @@ def _run_case(
         },
         "obs": obs_metrics,
     }
+    if tile_shape is not None:
+        case["tile_shape"] = list(tile_shape)
+    return case
 
 
 def _run_estimate_case(
@@ -297,6 +312,21 @@ def bench_report(
                     cases.append(
                         _run_case(name, dtype, shape, mode, repeats, workers)
                     )
+        # The tiled read: 64x64 tiles (one Huffman block each) of the
+        # 2-D field, never below the small scale so that its batched
+        # decode stages clear the gate's noise floor.
+        name = TILED_CASE
+        if (
+            2 in dims and "float32" in dtypes and "rel" in modes
+            and (only is None or name in only)
+        ):
+            shape = SCALES["small" if scale == "tiny" else scale][2]
+            cases.append(
+                _run_case(
+                    name, "float32", shape, "rel", repeats, workers,
+                    tile_shape=(64, 64),
+                )
+            )
     report: dict[str, Any] = {
         "schema": SCHEMA,
         "created_unix": time.time(),

@@ -18,6 +18,8 @@ __all__ = [
     "ADVERSARIAL_SHAPES",
     "adversarial_shapes",
     "error_bounds",
+    "extreme_finite_arrays",
+    "extreme_finite_values",
     "float_dtypes",
     "huffman_symbol_streams",
     "wavefront_arrays",
@@ -145,3 +147,43 @@ def wavefront_arrays(
     if nonfinite is not None and data.size > 2:
         data.reshape(-1)[rng.integers(0, data.size)] = nonfinite
     return data.astype(dtype), eb, layers, interval_bits
+
+
+def extreme_finite_values(dtype) -> np.ndarray:
+    """Finite values at the edges of ``dtype``'s range.
+
+    Opposite-sign maxima make the value range overflow the dtype (and,
+    for float64, float64 itself); the smallest normal and subnormal
+    magnitudes sit at the other end of the exponent range.
+    """
+    info = np.finfo(dtype)
+    big = [info.max, -info.max, info.max / 2, -info.max / 3]
+    small = [info.tiny, -info.tiny, info.smallest_subnormal]
+    return np.array(big + small, dtype=dtype)
+
+
+@st.composite
+def extreme_finite_arrays(draw, max_points: int = 256):
+    """A small smooth field salted with extreme finite magnitudes.
+
+    Returns ``data``.  The extremes land at drawn positions, so the
+    kernels see them both as neighbours of ordinary values and next to
+    each other.  ``float32`` draws include the span that overflows
+    float32 (``[-3e38, 3e38]``), which the float64 span still holds.
+    """
+    shape = draw(adversarial_shapes(max_points))
+    dtype = draw(float_dtypes())
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    rng = np.random.default_rng(seed)
+    n = int(np.prod(shape))
+    data = np.cumsum(rng.normal(0.0, 0.25, n))
+    pool = extreme_finite_values(dtype).astype(np.float64)
+    if dtype == np.float64:
+        # Keep the float64 span finite: a range-relative bound cannot
+        # resolve past it, which is its own (ValueError) case.
+        pool = pool[np.abs(pool) < np.finfo(np.float64).max / 4]
+        pool = np.concatenate([pool, [1e300, -1e300]])
+    k = draw(st.integers(min_value=1, max_value=max(1, min(8, n))))
+    idx = rng.choice(n, size=k, replace=False)
+    data[idx] = rng.choice(pool, size=k)
+    return data.reshape(shape).astype(dtype)

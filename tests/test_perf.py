@@ -191,6 +191,17 @@ class TestBenchReport:
         assert case["mode"] == "rel"
         assert case["compressed_bytes"] < case["n_bytes"]
 
+    def test_tiled_case_runs_at_small_scale(self):
+        # The tiled read case never shrinks below the small 2-D field,
+        # so its batched decode stages clear the gate's noise floor.
+        report = _tiny_report(only=("2d-f32-rel-tiled64",))
+        (case,) = report["cases"]
+        assert case["shape"] == list(SCALES["small"][2])
+        assert case["tile_shape"] == [64, 64]
+        stages = case["decompress"]["stages"]
+        assert {"entropy/huffman_decode", "dequantize"} <= set(stages)
+        assert case["obs"]["observations"]["huffman/streams_per_pass"]["max"] == 8
+
     def test_bad_arguments_raise(self):
         with pytest.raises(ValueError, match="scale"):
             bench_report(scale="galactic")
@@ -297,6 +308,8 @@ class TestPerfGate:
             [
                 "3d-f32-rel:decompress:entropy/huffman_decode",
                 "3d-f32-rel:compress:entropy/huffman_encode",
+                "2d-f32-rel-tiled64:decompress:entropy/huffman_decode",
+                "2d-f32-rel-tiled64:decompress:dequantize",
             ],
         ) == []
 

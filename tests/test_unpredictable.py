@@ -124,3 +124,86 @@ class TestEncodeDecode:
         values = np.array([-0.0], dtype=np.float64)
         _, _, out = roundtrip(values, 1e-6)
         assert out[0] == 0.0
+
+
+def _truncate_reference(values: np.ndarray, eb: float) -> np.ndarray:
+    """Field-by-field formulation the lookup-table version replaced."""
+    from repro.core.unpredictable import _classify, _layout, _required_bits
+
+    lo = _layout(values.dtype)
+    _, sign, exp, mant, is_zero, _, is_raw = _classify(values, eb, lo)
+    t = _required_bits(exp, eb, lo)
+    keep_shift = (lo.mant_bits - t).astype(np.uint64)
+    mant_trunc = (mant >> keep_shift) << keep_shift
+    rebuilt = (
+        (sign << np.uint64(lo.total_bits - 1))
+        | (exp << np.uint64(lo.mant_bits))
+        | mant_trunc
+    )
+    out = rebuilt.astype(lo.uint.type).view(values.dtype)
+    out = np.where(is_zero, values.dtype.type(0), out)
+    return np.where(is_raw, values, out)
+
+
+_LAYOUT_BITS = {np.float32: (np.uint32, 8, 23), np.float64: (np.uint64, 11, 52)}
+_EXTREME_EBS = {
+    np.float32: [1.4e-45, 1e-40, 1.2e-38, 1e-3, 0.5, 1.0, 7.5, 3.4e38, 1e300],
+    np.float64: [5e-324, 1e-310, 2.3e-308, 1e-3, 0.5, 1.0, 1e300, 1.7e308],
+}
+
+
+class TestTruncateLookupTable:
+    """Every exponent, both signs, the specials: identical to the fields."""
+
+    @staticmethod
+    def _all_exponents(dtype) -> np.ndarray:
+        uint, exp_bits, mant_bits = _LAYOUT_BITS[dtype]
+        rng = np.random.default_rng(exp_bits)
+        exps = np.arange(1 << exp_bits, dtype=np.uint64)
+        rows = []
+        for mant in (0, (1 << mant_bits) - 1, 1, None):
+            m = (
+                rng.integers(0, 1 << mant_bits, exps.size, dtype=np.uint64)
+                if mant is None
+                else np.full(exps.size, mant, dtype=np.uint64)
+            )
+            for sign in (0, 1):
+                rows.append(
+                    (np.uint64(sign) << np.uint64(exp_bits + mant_bits))
+                    | (exps << np.uint64(mant_bits))
+                    | m
+                )
+        # exp 0 covers +-0.0 and the subnormals; the all-ones exponent
+        # covers +-Inf (mantissa 0) and NaN payloads (the rest).
+        return np.concatenate(rows).astype(uint).view(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_field_reference(self, dtype):
+        values = self._all_exponents(dtype)
+        uint = _LAYOUT_BITS[dtype][0]
+        for eb in _EXTREME_EBS[dtype]:
+            with np.errstate(all="ignore"):
+                want = _truncate_reference(values, eb)
+                got = truncate_to_bound(values, eb)
+            np.testing.assert_array_equal(got.view(uint), want.view(uint))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_specials(self, dtype):
+        uint = _LAYOUT_BITS[dtype][0]
+        nan_payload = np.array([0x7FC00123 if dtype == np.float32
+                                else 0x7FF8000000000123], dtype=uint)
+        values = np.concatenate(
+            [np.array([0.0, -0.0, np.inf, -np.inf], dtype=dtype),
+             nan_payload.view(dtype)]
+        )
+        out = truncate_to_bound(values, 1e-3)
+        np.testing.assert_array_equal(
+            out.view(uint)[:2], np.zeros(2, dtype=uint)  # both become +0.0
+        )
+        np.testing.assert_array_equal(out.view(uint)[2:], values.view(uint)[2:])
+
+    def test_input_untouched(self):
+        values = np.array([1.2345, -0.0, 1e-9], dtype=np.float64)
+        before = values.copy()
+        truncate_to_bound(values, 1e-3)
+        np.testing.assert_array_equal(values, before)
