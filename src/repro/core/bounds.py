@@ -317,10 +317,14 @@ def pw_apply_repairs(
 def _pw_reconstruct(
     recon_logs: np.ndarray, signs: np.ndarray, dtype: np.dtype
 ) -> np.ndarray:
-    """Signed magnitudes from decoded logs, rounded through ``dtype``."""
+    """Signed magnitudes from decoded logs, rounded through ``dtype``.
+
+    A magnitude past ``dtype``'s maximum rounds to infinity; the encoder's
+    repair pass flags such a value raw, so it never reaches the output.
+    """
     with np.errstate(over="ignore"):
         mags = np.exp(recon_logs.astype(np.float64))
-    return np.where(signs, -mags, mags).astype(dtype)
+        return np.where(signs, -mags, mags).astype(dtype)
 
 
 def pw_encode_side(
