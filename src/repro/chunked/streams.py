@@ -13,9 +13,9 @@ read_all` and :meth:`TiledReader.iter_slabs`, at most a tile-row's worth
 of intersecting tiles for :meth:`TiledReader.region`.  A batch shares
 one lockstep Huffman pass and one wavefront sweep per tile shape, so
 NumPy's per-call cost is paid once per batch instead of once per tile;
-the output is bit-identical to decoding each tile alone
-(:meth:`TiledReader.read_tile`).  Memory per batch is bounded by one
-tile-row.
+the output is bit-identical to decoding each tile's bytes alone with
+:func:`repro.core.compressor.decompress`.  :meth:`TiledReader.read_tile`
+is a batch of one.  Memory per batch is bounded by one tile-row.
 
 Bound semantics: a relative bound is resolved against each *tile's* own
 value range.  A tile's range never exceeds the whole array's, so every
@@ -61,9 +61,11 @@ from repro.chunked.io import ByteAccountant, open_source
 from repro.core.compressor import (
     LEGACY_BOUND_MSG,
     compress_array,
-    decompress,
     decompress_batch,
     parse_container,
+)
+from repro.core.compressor import (  # re-export: perfbench/layers.py hooks it
+    decompress as decompress,
 )
 from repro.obs.tracer import metric_add, metric_observe, span
 from repro.parallel.pool import pool_map
@@ -423,14 +425,7 @@ class TiledReader:
 
     def read_tile(self, index: int) -> np.ndarray:
         """Decompress one tile to its array block."""
-        tile = decompress(self.read_tile_bytes(index))
-        expect = self.grid.tile_data_shape(index)
-        if tuple(tile.shape) != expect:
-            raise ValueError(
-                f"corrupt tiled container: tile {index} decodes to "
-                f"{tile.shape}, expected {expect}"
-            )
-        return tile
+        return self.read_tiles([index])[0]
 
     def read_tiles(self, indices: list[int]) -> list[np.ndarray]:
         """Decompress several tiles as one batch.
@@ -439,7 +434,7 @@ class TiledReader:
         before anything decodes; then the batch shares one lockstep
         Huffman pass and one wavefront sweep per tile shape
         (:func:`repro.core.compressor.decompress_batch`).  Bit-identical
-        to :meth:`read_tile` per index.
+        to :func:`repro.core.compressor.decompress` of each tile's bytes.
         """
         parsed = []
         for i in indices:

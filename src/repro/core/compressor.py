@@ -902,15 +902,13 @@ def decompress_batch(parsed: list[ParsedContainer]) -> list[np.ndarray]:
     wavefront sweep (:func:`repro.core.wavefront.wavefront_decompress_batch`)
     with each container's bound as a column.  The unpredictable-value
     decode and ``pw_rel`` post-conditioning stay per container.
-    Constant, arithmetic-coded and wide-code containers, and a lone
-    batchable container, take the whole-array path.  Every result is
-    bit-identical to :func:`decompress` of the same bytes.
+    Constant, arithmetic-coded and wide-code containers take the
+    whole-array path; a lone batchable container is a batch of one.
+    Every result is bit-identical to :func:`decompress` of the same
+    bytes.
     """
     results: list[Any] = [None] * len(parsed)
     batch = {i for i, p in enumerate(parsed) if _lockstep_ok(p)}
-    if len(batch) < 2:
-        # A lone stream decodes faster through the multi-symbol table.
-        batch = set()
     for i, p in enumerate(parsed):
         if i not in batch:
             results[i] = _decode_parsed(p)

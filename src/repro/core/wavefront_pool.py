@@ -262,7 +262,7 @@ def _decompress_chunk_worker(item: dict[str, Any]) -> None:
         rc_s = np.empty(msize, dtype=np.float32) if f32_out else None
         with stage(
             "dequantize_worker", nbytes=n_points * out_dtype.itemsize
-        ):
+        ), np.errstate(over="ignore", invalid="ignore"):
             for s, (start, end) in enumerate(plan.groups):
                 _wait_for_plane(progress, s - 1)
                 lo, hi = _chunk_bounds(start, end, w, n_workers)

@@ -91,8 +91,9 @@ lookups must stay inside this budget."""
 
 _STAGE_ELEMS = 1 << 20
 """Target element count (≈4 MB of int32) for the staged-emission
-buffer of the fast decode rounds; bounds memory for huge block counts
-while keeping flushes rare for typical ones."""
+buffers of the multi-symbol fast rounds and of the lockstep decoder;
+bounds memory for huge streams while keeping flushes rare for typical
+ones."""
 
 
 def huffman_code_lengths(
@@ -778,6 +779,11 @@ class HuffmanCodec:
         """Does the code fit a flat table (a lockstep pass)?"""
         return max(self.max_len, 1) <= _FLAT_TABLE_BITS
 
+    @property
+    def flat_table_nbytes(self) -> int:
+        """Bytes of :meth:`flat_tables`, known before building it."""
+        return np.dtype(np.int32).itemsize << max(self.max_len, 1)
+
     def flat_tables(self) -> _TwoLevelTables:
         """A fresh single-symbol table ``max_len`` bits wide.
 
@@ -1041,8 +1047,10 @@ class HuffmanCodec:
 
 
 _LOCKSTEP_TABLE_BYTES = 64 << 20
-"""Cap on the concatenated flat tables of one lockstep pass; a group
-whose tables would exceed it is split into several passes."""
+"""Cap on the flat tables of one lockstep pass; a group whose tables
+would exceed it is split into several passes.  Tables are built pass by
+pass, so at most one pass's tables (and their concatenated copy) are
+alive at a time."""
 
 
 def _check_payload_bits(stream: EncodedStream) -> None:
@@ -1092,23 +1100,31 @@ def decode_streams(
     with stage("huffman_decode", nbytes=nbytes):
         for s in streams:
             _check_payload_bits(s)
-        tables = [c.flat_tables() for c in codecs]
         lo = pos = 0
-        while lo < len(tables):
+        while lo < len(codecs):
             # Greedy passes under the table budget (always >= 1 stream).
-            hi, size = lo + 1, tables[lo].primary.nbytes
-            while hi < len(tables) and (
-                size + tables[hi].primary.nbytes <= _LOCKSTEP_TABLE_BYTES
+            hi, size = lo + 1, codecs[lo].flat_table_nbytes
+            while hi < len(codecs) and (
+                size + codecs[hi].flat_table_nbytes <= _LOCKSTEP_TABLE_BYTES
             ):
-                size += tables[hi].primary.nbytes
+                size += codecs[hi].flat_table_nbytes
                 hi += 1
             n = sum(sizes[lo:hi])
             rounds, lookups = _decode_lockstep(
-                streams[lo:hi], tables[lo:hi], out[pos : pos + n]
+                streams[lo:hi],
+                [c.flat_tables() for c in codecs[lo:hi]],
+                out[pos : pos + n],
             )
             _record_pass(hi - lo, n, rounds, lookups)
             lo, pos = hi, pos + n
     return out
+
+
+def _shift_out(entries: np.ndarray, dst: np.ndarray) -> None:
+    """Check staged table entries and store their symbols in ``dst``."""
+    if not entries.all():
+        raise ValueError("corrupt Huffman stream: invalid codeword")
+    np.right_shift(entries, 6, out=dst)
 
 
 def _decode_lockstep(
@@ -1133,11 +1149,12 @@ def _decode_lockstep(
     count decodes ignored bytes: its cursor is snapshotted when it
     finishes, and its later entries are dropped.  Entries are staged
     ``(round, lane)``, so each round stores one contiguous row, and the
-    codeword check runs once over the staged rows at the end; an
-    invalid window (entry 0) stalls its lane, so nothing escapes before
-    that check.  Lanes are ordered stream by stream, block by block —
-    the order of the concatenated output — which makes the final
-    extraction a transpose.
+    codeword check runs once per chunk of staged rows (at most
+    ``_STAGE_ELEMS`` entries, so staging memory does not grow with the
+    stream); an invalid window (entry 0) stalls its lane, so nothing
+    escapes before that check.  Lanes are ordered stream by stream,
+    block by block — the order of the concatenated output — which makes
+    the extraction of each chunk a transpose.
     """
     live = [i for i, s in enumerate(streams) if s.n_symbols]
     if not live:
@@ -1155,17 +1172,26 @@ def _decode_lockstep(
     counts_l: list[np.ndarray] = []
     base_l: list[np.ndarray] = []
     shift_l: list[np.ndarray] = []
+    # Per stream: first lane, block count, block size, last block's
+    # count and output offset — where each staged chunk is shifted out.
+    segments: list[tuple[int, int, int, int, int]] = []
     byte_off = 0
     tab_off = 0
+    lane_off = 0
+    out_off = 0
     for i in live:
         s, t = streams[i], tables[i]
         bits = s.block_bits.astype(np.int64)
         nb = bits.size
+        last = s.n_symbols - s.block_size * (nb - 1)
+        segments.append((lane_off, nb, s.block_size, last, out_off))
+        lane_off += nb
+        out_off += s.n_symbols
         st = np.zeros(nb, dtype=np.int64)
         np.cumsum(bits[:-1], out=st[1:])
         st += 8 * byte_off
         cnt = np.full(nb, s.block_size, dtype=np.int64)
-        cnt[-1] = s.n_symbols - s.block_size * (nb - 1)
+        cnt[-1] = last
         starts_l.append(st)
         ends_l.append(st + bits)
         counts_l.append(cnt)
@@ -1201,7 +1227,10 @@ def _decode_lockstep(
         secondary, sub_base = t0.secondary, t0.sub_base
         rem_shift = np.int64(64 - (t0.primary_bits + t0.sub_depth))
         rem_mask = np.int64((1 << t0.sub_depth) - 1)
-    staged = np.zeros((n_rounds, n_lanes), dtype=primary.dtype)
+    # Staging holds at most ``_STAGE_ELEMS`` entries: rounds run in
+    # chunks, and each chunk is checked and shifted out before the next.
+    chunk = max(1, min(n_rounds, _STAGE_ELEMS // n_lanes))
+    staged = np.empty((chunk, n_lanes), dtype=primary.dtype)
     # Per-round scratch: every ufunc writes through ``out=`` and the
     # table gather lands straight in its staged row.
     byte = np.empty(n_lanes, dtype=np.int64)
@@ -1209,47 +1238,53 @@ def _decode_lockstep(
     width = np.empty(n_lanes, dtype=np.int64)
     w = np.empty(n_lanes, dtype=np.int64)
     w_u = w.view(np.uint64)
-    for r in range(n_rounds):
-        np.right_shift(cur, 3, out=byte)
-        if materialize:
-            windows.take(byte, mode="clip", out=w)
-        else:
-            np.minimum(byte, max_byte, out=byte)
-            w_u[...] = gather_windows64(padded, byte)
-        # Shifts run on the int64 view: the bit patterns match uint64,
-        # and the index shift reinterprets as uint64 (logical shift).
-        np.bitwise_and(cur, 7, out=skew)
-        w <<= skew
-        if two_level:
-            window = w.copy()
-        np.right_shift(w_u, ushift, out=w_u)
-        w += base
-        entry = staged[r]
-        primary.take(w, out=entry)
-        if two_level:
-            long_mask = entry < 0
-            if long_mask.any():
-                sub_idx = -entry[long_mask].astype(np.int64) - 1
-                rem = (window[long_mask] >> rem_shift) & rem_mask
-                entry[long_mask] = secondary[sub_base[sub_idx] + rem]
-        np.bitwise_and(entry, 63, out=width)
-        cur += width
-        done = finish.get(r + 1)
-        if done is not None:
-            final[done] = cur[done]
+    offset = len(live) > 1
+    for r0 in range(0, n_rounds, chunk):
+        rows = min(chunk, n_rounds - r0)
+        for j in range(rows):
+            np.right_shift(cur, 3, out=byte)
+            if materialize:
+                windows.take(byte, mode="clip", out=w)
+            else:
+                np.minimum(byte, max_byte, out=byte)
+                w_u[...] = gather_windows64(padded, byte)
+            # Shifts run on the int64 view: the bit patterns match
+            # uint64, and the index shift reinterprets as uint64
+            # (logical shift).
+            np.bitwise_and(cur, 7, out=skew)
+            w <<= skew
+            if two_level:
+                window = w.copy()
+            np.right_shift(w_u, ushift, out=w_u)
+            if offset:
+                w += base
+            entry = staged[j]
+            primary.take(w, out=entry)
+            if two_level:
+                long_mask = entry < 0
+                if long_mask.any():
+                    sub_idx = -entry[long_mask].astype(np.int64) - 1
+                    rem = (window[long_mask] >> rem_shift) & rem_mask
+                    entry[long_mask] = secondary[sub_base[sub_idx] + rem]
+            np.bitwise_and(entry, 63, out=width)
+            cur += width
+            done = finish.get(r0 + j + 1)
+            if done is not None:
+                final[done] = cur[done]
+        for lane0, nb, size, last, pos in segments:
+            body = nb - 1  # every block but the last holds ``size``
+            if body and r0 < size:
+                k = min(rows, size - r0)
+                grid = out[pos : pos + body * size].reshape(body, size)
+                _shift_out(
+                    staged[:k, lane0 : lane0 + body].T, grid[:, r0 : r0 + k]
+                )
+            if r0 < last:
+                k = min(rows, last - r0)
+                tail = pos + body * size + r0
+                _shift_out(staged[:k, lane0 + body], out[tail : tail + k])
     full = counts == n_rounds
     final[full] = cur[full]
-    if full.all():
-        lanes = staged.T
-        if not staged.all():
-            raise ValueError("corrupt Huffman stream: invalid codeword")
-        np.right_shift(lanes, 6, out=out.reshape(n_lanes, n_rounds))
-    else:
-        active = np.arange(n_rounds, dtype=np.int64) < counts[:, None]
-        picked = staged.T[active]
-        if not picked.all():
-            raise ValueError("corrupt Huffman stream: invalid codeword")
-        np.right_shift(picked, 6, out=out)
     if not np.array_equal(final, end_bits):
         raise ValueError("corrupt Huffman stream: block length mismatch")
     return n_rounds, int(counts.sum(dtype=np.int64))

@@ -192,7 +192,7 @@ def sample_container(
 
     with TiledReader(src) as reader:
         chosen = _chosen_indices(reader.n_tiles, fraction, seed)
-        blocks = [reader.read_tile(i) for i in chosen]
+        blocks = reader.read_tiles(chosen)
         features = footer_features(
             reader.entries, itemsize=reader.dtype.itemsize
         )

@@ -193,6 +193,17 @@ class TestDifferential:
         with TiledReader(blob) as reader:
             _assert_bits_equal(reader.read_all(), ref)
 
+    def test_staging_chunks(self, monkeypatch):
+        # Tiles of several Huffman blocks, staged a few rounds at a time:
+        # every chunk shifts out block bodies and ragged last blocks.
+        data = _field((150, 130), np.float32, seed=10)
+        blob = compress_tiled(data, tile_shape=(70, 70), mode="abs", bound=1e-3)
+        ref = _per_tile(blob)
+        monkeypatch.setattr(hf, "_STAGE_ELEMS", 64)
+        with TiledReader(blob) as reader:
+            _assert_bits_equal(reader.read_all(), ref)
+            _assert_bits_equal(reader.read_tile(3), ref[70:140, 70:])
+
     def test_decompress_batch_mixed_containers(self):
         # Different shapes, dtypes, modes and coders in one batch: each
         # result matches decompress() of the same bytes.

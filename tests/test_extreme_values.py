@@ -70,3 +70,23 @@ def test_extreme_arrays_hold_the_bound(mode, bound, data):
     out = decompress(compress(data, mode=mode, bound=bound))
     assert out.dtype == data.dtype and out.shape == data.shape
     assert verify_bound(data, out, mode, bound)["ok"]
+
+
+@pytest.mark.parametrize("mode,bound", MODES[:2], ids=[m for m, _ in MODES[:2]])
+def test_pooled_decode_of_extreme_float32(monkeypatch, mode, bound):
+    # The pool-split dequantize worker casts to float32 like the serial
+    # kernel: a prediction past float32's maximum must round to inf
+    # silently there too.  Forked workers inherit the error filter; a
+    # short barrier timeout makes a failing worker fail the test fast
+    # instead of stalling its peer.
+    from repro.core import wavefront, wavefront_pool
+
+    monkeypatch.setattr(wavefront, "_SPLIT_MIN_POINTS", 16)
+    monkeypatch.setattr(wavefront_pool, "_BARRIER_TIMEOUT_S", 10.0)
+    rng = np.random.default_rng(0)
+    data = rng.choice(REGRESSION[:4], size=(32, 32)).astype(np.float32)
+    blob = compress(data, mode=mode, bound=bound)
+    serial = decompress(blob)
+    pooled = decompress(blob, workers=2)
+    assert np.array_equal(pooled.view(np.uint32), serial.view(np.uint32))
+    assert verify_bound(data, pooled, mode, bound)["ok"]

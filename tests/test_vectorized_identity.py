@@ -317,12 +317,22 @@ VARIANTS = {
     "multi": {},  # default for max_len <= _MULTI_TABLE_BITS
     "flat": {"_MULTI_TABLE_BITS": 0, "_FLAT_TABLE_BITS": 20},
     "two_level": {"_MULTI_TABLE_BITS": 0, "_FLAT_TABLE_BITS": 0},
+    # Lockstep staging a few rounds at a time (one chunk per round for
+    # four or more lanes).
+    "flat_chunked": {
+        "_MULTI_TABLE_BITS": 0, "_FLAT_TABLE_BITS": 20, "_STAGE_ELEMS": 3,
+    },
+    "two_level_chunked": {
+        "_MULTI_TABLE_BITS": 0, "_FLAT_TABLE_BITS": 0, "_STAGE_ELEMS": 3,
+    },
 }
 
 _EXPECTED_TABLES = {
     "multi": hf._MultiTables,
     "flat": hf._TwoLevelTables,
     "two_level": hf._TwoLevelTables,
+    "flat_chunked": hf._TwoLevelTables,
+    "two_level_chunked": hf._TwoLevelTables,
 }
 
 
@@ -335,7 +345,7 @@ def _decode_with_variant(
         fresh = HuffmanCodec(codec.lengths)
         tables = fresh._build_decode_tables()
         assert isinstance(tables, _EXPECTED_TABLES[variant])
-        if variant == "flat":
+        if variant.startswith("flat"):
             assert tables.secondary.size == 0
         return fresh.decode(stream)
 
