@@ -145,7 +145,7 @@ class Codec(_NumcodecsBase):
         from repro.core.compressor import decompress
 
         with self._collecting():
-            return decompress(buf, out=out, workers=self.config.workers)
+            return decompress(buf, out=out)
 
     def get_config(self) -> dict[str, Any]:
         """numcodecs-style config dict: ``{"id": codec_id, **knobs}``."""

@@ -107,7 +107,9 @@ class SZConfig:
         being encoded), or ``None`` for a near-isotropic ~64k-value
         tile picked at write time.
     workers
-        Process-pool width for tiled compression.
+        Process-pool width for tiled compression.  Whole-array encode
+        and decode are serial: parallel work is split by tiles and
+        files only.
     sample_fraction, sample_seed, sample_block
         Defaults for the :mod:`repro.tuning` estimator: the fraction of
         the data sampled per estimate, the deterministic sampling seed

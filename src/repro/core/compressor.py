@@ -280,7 +280,6 @@ def _quantize_adaptive(
     interval_bits: int,
     adaptive: bool,
     theta: float,
-    workers: int = 1,
 ) -> tuple[WavefrontResult, int, int]:
     """Wavefront quantization with the adaptive interval-count retry."""
     plan = _get_plan(data.shape, layers, data.dtype)
@@ -289,7 +288,7 @@ def _quantize_adaptive(
     while True:
         attempts += 1
         radius = interval_radius(m)
-        result = wavefront_compress(data, eb, plan, radius, workers=workers)
+        result = wavefront_compress(data, eb, plan, radius)
         if not adaptive or result.hit_rate >= theta or m >= _MAX_INTERVAL_BITS:
             break
         m = min(_MAX_INTERVAL_BITS, m + 2)
@@ -359,9 +358,8 @@ def compress_array(
     :func:`compress_with_stats`, :class:`repro.api.Codec`, the tiled
     writers — lands here.  ``config`` is an already-validated
     :class:`repro.api.SZConfig`.  ``tile_shape`` is ignored by this
-    whole-array path; ``workers > 1`` splits the wavefront loop of large
-    multi-dimensional arrays across a process pool (byte-identical
-    output; see :mod:`repro.core.wavefront_pool`).
+    whole-array path, and so is ``workers``: one array encodes serially
+    in the calling process.
 
     With a :class:`repro.obs.Collector` active, the whole run records
     under a ``compress`` span and the run diagnostics feed the metrics
@@ -454,20 +452,19 @@ def _compress_array_impl(
         assert spec.pw_bound is not None  # from_args invariant for pw_rel
         blob, result, m, attempts, repairs = _compress_pw_rel(
             data, spec.pw_bound, layers, interval_bits, adaptive, theta,
-            block_size, entropy_coder, value_range, workers=config.workers,
+            block_size, entropy_coder, value_range,
         )
         eb, mode_attempts = pw_log_bound(spec.pw_bound, data.dtype), 1 + repairs
     elif spec.mode == "psnr":
         assert spec.psnr_target is not None  # from_args invariant for psnr
         blob, result, m, attempts, eb, mode_attempts = _compress_psnr(
             data, spec.psnr_target, layers, interval_bits, adaptive, theta,
-            block_size, entropy_coder, value_range, workers=config.workers,
+            block_size, entropy_coder, value_range,
         )
     else:
         eb = spec.resolve(value_range)
         result, m, attempts = _quantize_adaptive(
-            data, eb, layers, interval_bits, adaptive, theta,
-            workers=config.workers,
+            data, eb, layers, interval_bits, adaptive, theta
         )
         code_hist = np.bincount(result.codes, minlength=2 * interval_radius(m))
         blob = _emit_container(
@@ -582,13 +579,12 @@ def _compress_pw_rel(
     block_size: int,
     entropy_coder: str,
     value_range: float,
-    workers: int = 1,
 ) -> tuple[bytes, WavefrontResult, int, int, int]:
     """Pointwise-relative mode: log-precondition, quantize, verify-repair."""
     eb_log = pw_log_bound(pw_bound, data.dtype)
     logs, flags, signs = pw_precondition(data)
     result, m, attempts = _quantize_adaptive(
-        logs, eb_log, layers, interval_bits, adaptive, theta, workers=workers
+        logs, eb_log, layers, interval_bits, adaptive, theta
     )
     # result.decompressed is the exact float64 log field a decompressor
     # materializes; any value the margin analysis failed to cover is
@@ -615,7 +611,6 @@ def _compress_psnr(
     block_size: int,
     entropy_coder: str,
     value_range: float,
-    workers: int = 1,
 ) -> tuple[bytes, WavefrontResult, int, int, float, int]:
     """PSNR-targeted mode: model-derived bound, verified post-hoc.
 
@@ -645,7 +640,7 @@ def _compress_psnr(
     ]
     for mode_attempts, eb in enumerate(candidates, start=1):
         result, m, attempts = _quantize_adaptive(
-            data, eb, layers, interval_bits, adaptive, theta, workers=workers
+            data, eb, layers, interval_bits, adaptive, theta
         )
         if _psnr_of(data, result.decompressed, value_range) >= target_db:
             break
@@ -749,7 +744,7 @@ def _fill_out(result: np.ndarray, out: Any) -> np.ndarray:
     return dst
 
 
-def decompress(blob: Any, out: Any = None, workers: int = 1) -> np.ndarray:
+def decompress(blob: Any, out: Any = None) -> np.ndarray:
     """Decompress an SZ-1.4 (repro) container back to the full array.
 
     Accepts plain containers, ``lossless_post``-wrapped containers, and
@@ -758,18 +753,16 @@ def decompress(blob: Any, out: Any = None, workers: int = 1) -> np.ndarray:
     ``bytearray``, ``memoryview``, ``mmap``); non-``bytes`` buffers are
     read in place, never copied.  With ``out`` the decoded values are
     written into the caller's buffer and the filled view is returned.
-    ``workers > 1`` splits the wavefront replay of large
-    multi-dimensional arrays across a process pool (byte-identical
-    output; see :mod:`repro.core.wavefront_pool`).
+    The decode runs serially in the calling process.
 
     With a :class:`repro.obs.Collector` active the run records under a
     ``decompress`` span; the decoded values are identical either way.
     """
     collector = active_collector()
     if collector is None:
-        return _decompress_impl(blob, out, workers)
+        return _decompress_impl(blob, out)
     with collector.span("decompress", bytes=len(_as_byte_view(blob))):
-        result = _decompress_impl(blob, out, workers)
+        result = _decompress_impl(blob, out)
     collector.add("decompress/calls")
     return result
 
@@ -808,18 +801,25 @@ def parse_container(blob: Any) -> ParsedContainer:
     return ParsedContainer(*read_container(blob))
 
 
-def _decompress_impl(
-    blob: Any, out: Any = None, workers: int = 1
-) -> np.ndarray:
+def _decompress_impl(blob: Any, out: Any = None) -> np.ndarray:
     parsed = parse_container(blob)
-    result = _decode_parsed(parsed, workers)
+    result = _decode_parsed(parsed)
     return result if out is None else _fill_out(result, out)
 
 
-def _decode_parsed(parsed: ParsedContainer, workers: int = 1) -> np.ndarray:
+def _decode_parsed(parsed: ParsedContainer) -> np.ndarray:
     """Decode one parsed container on its own (the whole-array path)."""
     header = parsed.header
     if header.is_constant:
+        # The compressor records a constant field with value_range 0 and
+        # no unpredictable values; anything else is a flipped flag bit,
+        # and its (unchecked) shape must not size the np.full below.
+        if header.value_range != 0.0 or header.unpred_count:
+            raise ValueError(
+                "corrupt container: constant flag on a header with "
+                f"value_range {header.value_range} and "
+                f"{header.unpred_count} unpredictable values"
+            )
         return np.full(header.shape, parsed.constant, dtype=header.dtype)
     expected = parsed.n_values
     inner_dtype = parsed.inner_dtype
@@ -849,8 +849,7 @@ def _decode_parsed(parsed: ParsedContainer, workers: int = 1) -> np.ndarray:
         plan = _get_plan(header.shape, header.layers, inner_dtype)
         radius = interval_radius(header.interval_bits)
         result = wavefront_decompress(
-            codes, unpred_recon, plan, header.eb_abs, radius, inner_dtype,
-            workers=workers,
+            codes, unpred_recon, plan, header.eb_abs, radius, inner_dtype
         )
         return _postcondition(parsed, result)
     except (EOFError, IndexError) as exc:

@@ -39,10 +39,10 @@ Kernel-level optimizations, each pinned byte-identical by
   column, so every per-plane ufunc covers all ``B``.  Whole-array
   decode is the same kernel at ``B = 1``.
 
-Large multi-dimensional arrays can additionally split each hyperplane
-across a process pool (``workers > 1``); see
-:mod:`repro.core.wavefront_pool`.  One-dimensional arrays have singleton
-hyperplanes, so a dedicated tight scalar loop handles ``d == 1``.
+The kernels run in the calling process; parallel work is split by
+tiles and files (:func:`repro.parallel.pool.pool_map`), never inside one
+sweep.  One-dimensional arrays have singleton hyperplanes, so a
+dedicated tight scalar loop handles ``d == 1``.
 """
 
 from __future__ import annotations
@@ -67,10 +67,6 @@ __all__ = [
 #: the kernels rebuild each plane's indices on the fly (identical output,
 #: slightly slower) instead of pinning hundreds of MB in the plan cache.
 _TABLE_BYTES_MAX = 128 * 1024 * 1024
-
-#: Minimum number of points before ``workers > 1`` actually splits the
-#: wavefront across processes; below it the serial kernel always wins.
-_SPLIT_MIN_POINTS = 1 << 21
 
 
 class WavefrontResult:
@@ -139,8 +135,6 @@ class WavefrontPlan:
         shape: tuple[int, ...],
         n: int,
         dtype: np.dtype | type = np.float64,
-        *,
-        with_tables: bool = True,
     ) -> None:
         if any(s <= 0 for s in shape):
             raise ValueError(f"degenerate shape: {shape}")
@@ -198,8 +192,7 @@ class WavefrontPlan:
         wf_pos = np.zeros(padded_size, dtype=np.int64)
         wf_pos[pad_flat] = np.arange(1, n_points + 1, dtype=np.int64)
         self.wf_pos = wf_pos
-        if with_tables:
-            self._build_gather_tables()
+        self._build_gather_tables()
 
     def _build_gather_tables(self) -> None:
         """Precompute one contiguous gather table per hyperplane.
@@ -232,21 +225,13 @@ def wavefront_compress(
     eb: float,
     plan: WavefrontPlan,
     radius: int,
-    workers: int = 1,
 ) -> WavefrontResult:
     """Run prediction + error-controlled quantization over ``data``.
 
     Returns codes and unpredictable originals in wavefront order, plus
     (lazily) the exact array a decompressor will reconstruct.
-    ``workers > 1`` splits each hyperplane across a process pool for
-    large multi-dimensional arrays (byte-identical output; see
-    :mod:`repro.core.wavefront_pool`).
     """
     with stage("quantize", nbytes=data.nbytes):
-        if workers > 1 and data.ndim >= 2 and data.size >= _SPLIT_MIN_POINTS:
-            from repro.core.wavefront_pool import pool_wavefront_compress
-
-            return pool_wavefront_compress(data, eb, plan, radius, workers)
         return _wavefront_compress(data, eb, plan, radius)
 
 
@@ -407,19 +392,12 @@ def wavefront_decompress(
     eb: float,
     radius: int,
     out_dtype: np.dtype,
-    workers: int = 1,
 ) -> np.ndarray:
     """Replay prediction from codes; inverse of :func:`wavefront_compress`."""
     n_out = 1
     for s in plan.shape:
         n_out *= s
     with stage("dequantize", nbytes=n_out * np.dtype(out_dtype).itemsize):
-        if workers > 1 and len(plan.shape) >= 2 and n_out >= _SPLIT_MIN_POINTS:
-            from repro.core.wavefront_pool import pool_wavefront_decompress
-
-            return pool_wavefront_decompress(
-                codes, unpred_recon, plan, eb, radius, out_dtype, workers
-            )
         return _wavefront_decompress(
             codes, unpred_recon, plan, eb, radius, out_dtype
         )

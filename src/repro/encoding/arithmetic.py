@@ -19,6 +19,8 @@ moderate sizes; Huffman remains the default.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["ArithmeticEncoder", "ArithmeticDecoder", "encode_symbols", "decode_symbols"]
@@ -29,6 +31,15 @@ _MASK = (1 << 32) - 1
 _PROB_BITS = 12
 _PROB_ONE = 1 << _PROB_BITS
 _ADAPT = 5  # adaptation shift: smaller = faster adaptation
+#: Adaptation stops once ``p >> _ADAPT`` (or ``(_PROB_ONE - p) >> _ADAPT``)
+#: is zero, so a context's probability never leaves
+#: ``[_P_MIN, _PROB_ONE - _P_MIN]``.
+_P_MIN = (1 << _ADAPT) - 1
+#: Fewest output bits one adaptive decision can cost.  A decision keeps
+#: at most ``1 - _P_MIN / _PROB_ONE`` of the range, plus integer-split
+#: slack below ``_P_MIN / range`` with ``range >= _BOT``; the encoder's
+#: output is at least the sum of ``-log2`` of those ratios.
+_MIN_DECISION_BITS = -math.log2(1.0 - _P_MIN / _PROB_ONE + _P_MIN / _BOT)
 
 
 class _Context:
@@ -170,7 +181,17 @@ def encode_symbols(symbols: np.ndarray, max_bits: int = 32) -> bytes:
 def decode_symbols(
     data: bytes | memoryview, count: int, max_bits: int = 32
 ) -> np.ndarray:
-    """Inverse of :func:`encode_symbols`."""
+    """Inverse of :func:`encode_symbols`.
+
+    Every symbol codes at least one adaptive decision, so ``count`` is
+    capped by what ``len(data)`` bytes can hold; a larger ``count`` (a
+    corrupt header) raises ``ValueError`` before anything is allocated.
+    """
+    if max_bits >= 1 and count * _MIN_DECISION_BITS > 8 * len(data):
+        raise ValueError(
+            f"corrupt arithmetic stream: {count} symbols cannot fit in "
+            f"{len(data)} bytes"
+        )
     dec = ArithmeticDecoder(data)
     length_ctx = [_Context() for _ in range(max_bits + 1)]
     out = np.zeros(count, dtype=np.int64)

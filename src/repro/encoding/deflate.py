@@ -105,7 +105,18 @@ def deflate_compress(data: bytes, max_chain: int = 16, lazy: bool = True) -> byt
 
 
 def deflate_decompress(blob: bytes) -> bytes:
-    """Decompress a :func:`deflate_compress` stream."""
+    """Decompress a :func:`deflate_compress` stream.
+
+    Corrupt or truncated input raises ``ValueError``, never ``EOFError``
+    or ``IndexError``.
+    """
+    try:
+        return _deflate_decompress(blob)
+    except (EOFError, IndexError) as exc:
+        raise ValueError(f"corrupt deflate stream: {exc}") from exc
+
+
+def _deflate_decompress(blob: bytes) -> bytes:
     r = BitReader(blob)
     if r.read(32) != _MAGIC:
         raise ValueError("not a repro-deflate stream")
@@ -115,6 +126,19 @@ def deflate_decompress(blob: bytes) -> bytes:
     litlen_codec = HuffmanCodec.read_table(r)
     dist_codec = HuffmanCodec.read_table(r)
     payload_start = (r.bitpos + 7) // 8
+    # Every codeword is at least one bit long (a one-symbol alphabet
+    # still gets a 1-bit code), so a token count above the payload's bit
+    # count is corrupt; checking it here keeps the token arrays below
+    # from being sized by a flipped header field.
+    if nbits > 8 * (len(blob) - payload_start):
+        raise ValueError(
+            f"corrupt deflate stream: {nbits} payload bits declared, "
+            f"{8 * max(0, len(blob) - payload_start)} present"
+        )
+    if ntok > nbits:
+        raise ValueError(
+            f"corrupt deflate stream: {ntok} tokens in {nbits} bits"
+        )
     reader = BitReader(blob[payload_start:])
 
     litlen_lookup = _decode_dict(litlen_codec)

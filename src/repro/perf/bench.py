@@ -473,8 +473,8 @@ def main(argv: list[str] | None = None) -> int:
         "--workers",
         type=int,
         default=1,
-        help="wavefront pool width; >1 enables the multi-process "
-             "hyperplane split on arrays above the size gate",
+        help="process-pool width for the tiled case's tile fan-out "
+             "(whole-array cases are serial)",
     )
     parser.add_argument(
         "--trace",

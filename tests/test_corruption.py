@@ -72,6 +72,18 @@ class TestV1Truncation:
         with pytest.raises(ValueError, match="corrupt"):
             decompress(blob)
 
+    def test_flipped_constant_flag_rejected(self):
+        """Regression: a constant flag flipped on, plus a flipped extent,
+        made the constant-field shortcut allocate terabytes (a
+        MemoryError) instead of rejecting the header."""
+        from repro.core.stream import FLAG_CONSTANT
+
+        blob = bytearray(compress(_field((10, 14)), mode="rel", bound=1e-3))
+        blob[9] |= FLAG_CONSTANT  # flags byte
+        blob[10] = 0x7F  # top byte of the first 48-bit extent
+        with pytest.raises(ValueError, match="constant flag"):
+            decompress(bytes(blob))
+
     def test_corrupt_dtype_code_rejected(self):
         data = _field((8, 8))
         blob = bytearray(compress(data, mode="rel", bound=1e-3))

@@ -110,3 +110,19 @@ class TestDeflate:
     @given(st.binary(max_size=400))
     def test_roundtrip_property(self, data):
         assert deflate_decompress(deflate_compress(data)) == data
+
+    def test_every_truncation_raises_value_error(self):
+        blob = deflate_compress(b"scientific data " * 20)
+        for cut in range(len(blob)):
+            with pytest.raises(ValueError):
+                deflate_decompress(blob[:cut])
+
+    def test_inflated_counts_rejected_before_allocating(self):
+        # Header: 32-bit magic, then 48-bit size, token count, bit count.
+        blob = deflate_compress(b"scientific data " * 20)
+        ntok_at, nbits_at = 10, 16
+        for at, message in ((ntok_at, "tokens in"), (nbits_at, "bits declared")):
+            bad = bytearray(blob)
+            bad[at] = 0xFF
+            with pytest.raises(ValueError, match=message):
+                deflate_decompress(bytes(bad))

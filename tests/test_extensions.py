@@ -45,6 +45,16 @@ class TestArithmeticCoder:
         assert len(data) < 100  # ~one adaptive bit per symbol, then less
         np.testing.assert_array_equal(decode_symbols(data, 500, 4), symbols)
 
+    def test_count_beyond_stream_capacity_rejected(self):
+        # All-zero symbols drive every context to its probability floor:
+        # the cheapest stream there is, so a valid count sits closest to
+        # the cap here.
+        n = 100_000
+        data = encode_symbols(np.zeros(n, dtype=np.int64), max_bits=4)
+        assert decode_symbols(data, n, 4).size == n
+        with pytest.raises(ValueError, match="cannot fit"):
+            decode_symbols(data, 10**12, 4)
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             encode_symbols(np.array([-1]))

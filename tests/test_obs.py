@@ -395,71 +395,6 @@ class TestCrossProcess:
         assert all(s.lane == 0 for s in tiles)  # in-process: parent lane
 
 
-class TestWavefrontPoolSplit:
-    """workers>1 hyperplane splitting: determinism + telemetry lanes.
-
-    The wavefront pool (PR 8) reuses the same ``pool_map`` plumbing as
-    the tiled writers, so worker stage records and spans must keep
-    merging — with distinct stage names (``quantize_worker``), since the
-    parent's ``quantize`` stage already wraps the whole dispatch.
-    """
-
-    SHAPE = (16, 15, 5)
-
-    @pytest.fixture(autouse=True)
-    def _split_small_arrays(self, monkeypatch):
-        import repro.core.wavefront as wf
-
-        monkeypatch.setattr(wf, "_SPLIT_MIN_POINTS", 1)
-
-    def _compress(self, workers):
-        from repro.api import SZConfig
-        from repro.core.compressor import compress_array
-
-        cfg = SZConfig.from_kwargs(mode="abs", bound=1e-3, workers=workers)
-        return compress_array(_field(self.SHAPE, seed=2), cfg)[0]
-
-    def test_deterministic_and_byte_identical_across_worker_counts(self):
-        from repro.core import decompress
-
-        blobs = {w: self._compress(w) for w in (1, 2, 4)}
-        assert blobs[1] == blobs[2] == blobs[4]
-        base = decompress(blobs[1])
-        for w in (1, 2, 4):
-            np.testing.assert_array_equal(
-                base, decompress(blobs[w], workers=w)
-            )
-        # determinism: a second run of each reproduces the same bytes
-        assert self._compress(2) == blobs[2]
-
-    def test_worker_lane_spans_in_merged_payload(self):
-        from repro.core import decompress
-
-        with Collector() as col:
-            blob = self._compress(2)
-        workers = [s for s in col.spans if s.name == "quantize_worker"]
-        assert len(workers) == 2
-        assert len(col.lane_pids) >= 2  # lane 0 (parent) + worker lanes
-        for s in workers:
-            assert s.lane >= 1
-            assert s.attrs["worker_pid"] == col.lane_pids[s.lane]
-            assert "item" in s.attrs
-            # grafted under the parent's quantize stage span
-            assert col.spans[s.parent].name == "quantize"
-        with Collector() as dcol:
-            decompress(blob, workers=2)
-        dworkers = [s for s in dcol.spans if s.name == "dequantize_worker"]
-        assert len(dworkers) == 2
-        assert all(s.lane >= 1 for s in dworkers)
-
-    def test_worker_stage_records_merge(self):
-        with StageTimer() as t:
-            self._compress(2)
-        assert "quantize" in t.records  # parent wraps the dispatch
-        assert t.records["quantize_worker"].calls == 2
-        assert t.records["quantize_worker"].nbytes > 0
-
-
 class TestDisabledOverhead:
     def test_disabled_hooks_allocate_nothing(self):
         assert span("x") is span("y") is _NULL_SPAN

@@ -2,18 +2,17 @@
 scalar reference.
 
 The wavefront engine carries several layered optimizations — grouped
-gather tables, the float32 interior, wavefront-order storage, and the
-multi-process hyperplane split.  Each one is only admissible because it
-is *bit-identical* to the paper's sequential algorithm, and this suite
-is the mechanical enforcement of that contract: hypothesis drives the
-kernels across dtypes × dims × adversarial shapes (prime-length axes,
-1-wide slabs, singleton hyperplanes, NaN/Inf contamination, spike-forced
-unpredictables) and asserts code-for-code and byte-for-byte equality
-against :mod:`repro.core.reference`, for every fast-path configuration:
+gather tables, the float32 interior and wavefront-order storage.  Each
+one is only admissible because it is *bit-identical* to the paper's
+sequential algorithm, and this suite is the mechanical enforcement of
+that contract: hypothesis drives the kernels across dtypes × dims ×
+adversarial shapes (prime-length axes, 1-wide slabs, singleton
+hyperplanes, NaN/Inf contamination, spike-forced unpredictables) and
+asserts code-for-code and byte-for-byte equality against
+:mod:`repro.core.reference`, for every fast-path configuration:
 
-* gather tables on vs rebuilt per plane (``with_tables=False``);
+* gather tables on vs rebuilt per plane (``gather_tables = None``);
 * float32 interior vs the forced float64 fallback;
-* serial vs pool-split (``workers ∈ {1, 2, 4}``);
 * the public ``compress``/``decompress`` pipeline across modes.
 """
 
@@ -46,9 +45,11 @@ def _codes_to_raster(codes_wf, plan, shape):
 
 def _plan_variants(shape, layers, dtype):
     """Every plan configuration a kernel run can legitimately see."""
+    tableless = WavefrontPlan(shape, layers, dtype)
+    tableless.gather_tables = None  # the over-budget per-plane fallback
     return [
         WavefrontPlan(shape, layers, dtype),  # native interior
-        WavefrontPlan(shape, layers, dtype, with_tables=False),
+        tableless,
         WavefrontPlan(shape, layers),  # float64 fallback interior
     ]
 
@@ -110,61 +111,17 @@ class TestKernelIdentity:
             np.testing.assert_array_equal(out, ref_out)
 
 
-@pytest.fixture
-def force_pool_split(monkeypatch):
-    """Open the pool gate regardless of array size."""
-    monkeypatch.setattr(wf, "_SPLIT_MIN_POINTS", 1)
-
-
-class TestPoolIdentity:
-    """The multi-process split must be byte-identical to serial."""
-
-    SHAPES = [(24, 26), (7, 11, 5), (1, 40), (9, 1, 4)]
-
-    @pytest.mark.parametrize("shape", SHAPES, ids=str)
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_pool_compress_matches_serial(
-        self, force_pool_split, shape, workers
-    ):
-        rng = np.random.default_rng(11)
-        data = np.cumsum(
-            rng.normal(0, 0.2, int(np.prod(shape)))
-        ).reshape(shape).astype(np.float32)
-        data.reshape(-1)[:: max(1, data.size // 7)] += 1e3
-        eb, radius = 1e-3, interval_radius(8)
-        plan = WavefrontPlan(shape, 1, np.float32)
-        serial = wf._wavefront_compress(data, eb, plan, radius)
-        pooled = wavefront_compress(data, eb, plan, radius, workers=workers)
-        np.testing.assert_array_equal(serial.codes, pooled.codes)
-        np.testing.assert_array_equal(
-            serial.unpredictable, pooled.unpredictable
+def test_decompress_validates_unpred_count():
+    data = np.linspace(0, 1, 600, dtype=np.float64).reshape(20, 30)
+    eb, radius = 1e-3, interval_radius(8)
+    plan = WavefrontPlan(data.shape, 1, np.float64)
+    res = wavefront_compress(data, eb, plan, radius)
+    bad = res.codes.copy()
+    bad[::5] = UNPREDICTABLE  # misses without stored values
+    with pytest.raises(ValueError, match="count mismatch"):
+        wavefront_decompress(
+            bad, np.zeros(0, dtype=np.float64), plan, eb, radius, np.float64
         )
-        np.testing.assert_array_equal(
-            serial.decompressed, pooled.decompressed
-        )
-        assert serial.hit_rate == pooled.hit_rate
-        unpred_recon = truncate_to_bound(serial.unpredictable, eb)
-        serial_out = wf._wavefront_decompress(
-            serial.codes, unpred_recon, plan, eb, radius, np.float32
-        )
-        pooled_out = wavefront_decompress(
-            serial.codes, unpred_recon, plan, eb, radius, np.float32,
-            workers=workers,
-        )
-        np.testing.assert_array_equal(serial_out, pooled_out)
-
-    def test_pool_decompress_validates_unpred_count(self, force_pool_split):
-        data = np.linspace(0, 1, 600, dtype=np.float64).reshape(20, 30)
-        eb, radius = 1e-3, interval_radius(8)
-        plan = WavefrontPlan(data.shape, 1, np.float64)
-        res = wf._wavefront_compress(data, eb, plan, radius)
-        bad = res.codes.copy()
-        bad[::5] = UNPREDICTABLE  # misses without stored values
-        with pytest.raises(ValueError, match="count mismatch"):
-            wavefront_decompress(
-                bad, np.zeros(0, dtype=np.float64), plan, eb, radius,
-                np.float64, workers=2,
-            )
 
 
 class TestPipelineIdentity:
@@ -198,22 +155,6 @@ class TestPipelineIdentity:
         assert blob_fast == blob_slow
         np.testing.assert_array_equal(out_fast, decompress(blob_slow))
         _PLAN_CACHE.clear()
-
-    @pytest.mark.parametrize("mode,bound", MODES, ids=[m for m, _ in MODES])
-    def test_pool_split_pipeline_is_byte_identical(
-        self, force_pool_split, mode, bound
-    ):
-        from repro.api import SZConfig
-        from repro.core.compressor import compress_array
-
-        data = self._field(np.float32)
-        cfg = SZConfig.from_kwargs(mode=mode, bound=bound)
-        blob_serial, _ = compress_array(data, cfg)
-        blob_pool, _ = compress_array(data, cfg.replace(workers=2))
-        assert blob_serial == blob_pool
-        np.testing.assert_array_equal(
-            decompress(blob_serial), decompress(blob_pool, workers=2)
-        )
 
 
 class TestStalePlanRegression:

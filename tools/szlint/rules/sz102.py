@@ -37,9 +37,9 @@ __all__ = ["SZ102"]
 #: included because its hooks run inside those modules: a wall-clock read
 #: there would execute on the encode path (Collector injects its clocks
 #: as constructor parameters instead).
-#: repro/parallel/ joined the scope when the wavefront pool split landed:
-#: its workers execute the same quantization arithmetic as the serial
-#: kernels, so the determinism contract extends to them unchanged.
+#: repro/parallel/ is in scope because its pool_map workers run the
+#: compressor on tiles and files: byte-identical output across worker
+#: counts depends on them being as deterministic as the serial path.
 #: repro/tuning/ is in scope because estimates promise determinism too
 #: (same source + fraction + seed => identical prediction): its sampler
 #: must draw from seeded generators and its models must pin reduction
