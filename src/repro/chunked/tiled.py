@@ -218,10 +218,14 @@ def container_info_any(src) -> dict:
         src = src.read()
     info = v1_container_info(src)
     # Untagged blobs are the original v1 layout; pw_rel/psnr blobs carry
-    # the mode-tagged (version 2) header of the same container family.
-    info["format"] = (
-        "v1-moded" if info.get("mode") in ("pw_rel", "psnr") else "v1"
-    )
+    # the mode-tagged (version 2) header of the same container family,
+    # and segmented 1-D blobs its version 3.
+    if info["segmented"]:
+        info["format"] = "v1-segmented"
+    else:
+        info["format"] = (
+            "v1-moded" if info.get("mode") in ("pw_rel", "psnr") else "v1"
+        )
     return info
 
 

@@ -58,6 +58,7 @@ from repro.core.unpredictable import decode_unpredictable, encode_unpredictable
 from repro.core.wavefront import (
     WavefrontPlan,
     WavefrontResult,
+    is_segmented,
     wavefront_compress,
     wavefront_decompress,
     wavefront_decompress_batch,
@@ -333,6 +334,7 @@ def _emit_container(
         header_dtype, shape, m, layers, eb, value_range,
         result.unpredictable.size, flags=payload.flags,
         mode=mode, mode_param=mode_param, side_payload=side_payload,
+        segmented=is_segmented(shape),
     )
     return write_container(
         header, payload.codec, payload.stream, unpred_payload,
@@ -467,9 +469,12 @@ def _compress_array_impl(
             data, eb, layers, interval_bits, adaptive, theta
         )
         code_hist = np.bincount(result.codes, minlength=2 * interval_radius(m))
+        # Only a segmented (version 3) header stores an abs/rel mode;
+        # version 1 has no mode field and decodes as ``abs``.
         blob = _emit_container(
             result, m, eb, data.dtype, data.shape, value_range, layers,
-            block_size, entropy_coder, code_hist=code_hist,
+            block_size, entropy_coder, mode=spec.mode, mode_param=spec.param,
+            code_hist=code_hist,
         )
         mode_attempts = 1
     if config.lossless_post:
@@ -802,7 +807,9 @@ def parse_container(blob: Any) -> ParsedContainer:
 
 
 def _decompress_impl(blob: Any, out: Any = None) -> np.ndarray:
-    parsed = parse_container(blob)
+    # The caller holds the blob for the whole decode: parse it through a
+    # view, so its sections are not copied (``bytes`` slices would be).
+    parsed = parse_container(memoryview(blob))
     result = _decode_parsed(parsed)
     return result if out is None else _fill_out(result, out)
 
@@ -849,7 +856,8 @@ def _decode_parsed(parsed: ParsedContainer) -> np.ndarray:
         plan = _get_plan(header.shape, header.layers, inner_dtype)
         radius = interval_radius(header.interval_bits)
         result = wavefront_decompress(
-            codes, unpred_recon, plan, header.eb_abs, radius, inner_dtype
+            codes, unpred_recon, plan, header.eb_abs, radius, inner_dtype,
+            header.segmented,
         )
         return _postcondition(parsed, result)
     except (EOFError, IndexError) as exc:
@@ -897,9 +905,11 @@ def decompress_batch(parsed: list[ParsedContainer]) -> list[np.ndarray]:
     to pay back NumPy's per-call cost on its own.  Here every Huffman
     stream of the batch decodes in one lockstep pass
     (:func:`repro.encoding.huffman.decode_streams`), and containers that
-    share shape, layers, dtype and interval count replay in one
-    wavefront sweep (:func:`repro.core.wavefront.wavefront_decompress_batch`)
-    with each container's bound as a column.  The unpredictable-value
+    share shape, layers, dtype, interval count and segmenting replay in
+    one wavefront sweep
+    (:func:`repro.core.wavefront.wavefront_decompress_batch`) with each
+    container's bound as a column; a segmented 1-D container brings one
+    lane per segment.  The unpredictable-value
     decode and ``pw_rel`` post-conditioning stay per container.
     Constant, arithmetic-coded and wide-code containers take the
     whole-array path; a lone batchable container is a batch of one.
@@ -918,7 +928,10 @@ def decompress_batch(parsed: list[ParsedContainer]) -> list[np.ndarray]:
     groups: dict[tuple[Any, ...], list[int]] = {}
     for i in sorted(batch):
         h = parsed[i].header
-        key = (h.shape, h.layers, parsed[i].inner_dtype.str, h.interval_bits)
+        key = (
+            h.shape, h.layers, parsed[i].inner_dtype.str, h.interval_bits,
+            h.segmented,
+        )
         groups.setdefault(key, []).append(i)
     codecs: list[HuffmanCodec] = []
     streams: list[EncodedStream] = []
@@ -940,7 +953,8 @@ def decompress_batch(parsed: list[ParsedContainer]) -> list[np.ndarray]:
             with stage("entropy", nbytes=nbytes):
                 codes = decode_streams(codecs, streams)
             pos = 0
-            for (shape, layers, inner, bits), members in groups.items():
+            for key, members in groups.items():
+                shape, layers, inner, bits, segmented = key
                 n = parsed[members[0]].n_values
                 group_codes = codes[pos : pos + len(members) * n]
                 pos += len(members) * n
@@ -951,6 +965,7 @@ def decompress_batch(parsed: list[ParsedContainer]) -> list[np.ndarray]:
                     [parsed[i].header.eb_abs for i in members],
                     interval_radius(bits),
                     np.dtype(inner),
+                    segmented,
                 )
                 for b, i in enumerate(members):
                     results[i] = _postcondition(parsed[i], out[b])
@@ -982,6 +997,7 @@ def container_info(blob: Any) -> dict[str, Any]:
         "interval_bits": header.interval_bits,
         "n_unpredictable": header.unpred_count,
         "constant": header.is_constant,
+        "segmented": header.segmented,
         "entropy_coder": coder_for_flags(header.flags).coder_id,
         "lossless_post": wrapped,
         "compressed_bytes": len(blob),

@@ -24,11 +24,17 @@ from math import comb
 import numpy as np
 
 __all__ = [
+    "MAX_LAYERS",
     "prediction_stencil",
     "predict_from_original",
     "layer_counts",
     "unit_coeff_signs",
 ]
+
+#: Largest supported layer count.  The paper studies ``n <= 4``; the
+#: stencil has ``(n + 1)^d - 1`` arms, so the cap also bounds the work a
+#: container header can ask for.
+MAX_LAYERS = 8
 
 
 @lru_cache(maxsize=None)

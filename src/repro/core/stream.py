@@ -6,13 +6,13 @@ Self-describing byte layout::
     interval_bits m (8) | layers n (8) | flags (8) |
     shape: ndim x 48 | eb_abs: raw float64 bits (64) |
     value_range: raw float64 bits (64) | unpred_count (48)
-    [version 2: mode code (8) | mode param: raw float64 bits (64)]
+    [version 2, 3: mode code (8) | mode param: raw float64 bits (64)]
     [flag CONSTANT: constant value (64), end]
     Huffman length table (self-delimiting)
     -- byte align --
     EncodedStream blob length (48) | EncodedStream bytes
     unpredictable payload length (48) | payload bytes
-    [version 2: side payload length (48) | side payload bytes]
+    [version 2, 3: side payload length (48) | side payload bytes]
 
 Everything needed for decompression is in the container; the caller only
 holds bytes.  Version and magic are checked; truncation raises.
@@ -23,6 +23,24 @@ mode ``abs`` (the effective bound is absolute either way).  The
 mode-tagged version 2 layout is emitted only for the ``pw_rel`` and
 ``psnr`` modes, which need the mode code, its parameter, and (for
 ``pw_rel``) the preconditioning side payload to reconstruct.
+
+Version 3 is the version 2 layout (mode byte, parameter and side
+payload; ``abs``/``rel`` requests keep their own mode here) around a
+*segmented* 1-D body.  A 1-D array of ``N`` points is cut into
+``S = ceil(N / L)`` consecutive segments, ``L = clamp(ceil(N / 64),
+256, 4096)``, rebalanced so their lengths differ by at most one (longer
+segments first); each segment is predicted from its own zero prologue
+(:func:`repro.core.wavefront.segment_layout`).  The codes and
+unpredictable values stay in raster order.  Version 3 is written
+exactly when ``S >= 2``: an array of ``N <= 256`` points is one segment
+and keeps the version 1/2 bytes, and a constant field has no body.  A
+1-D version 1/2 container longer than one segment predates segmenting
+and decodes as one sequential scan.  Version 3 with ``ndim != 1``, a
+single segment or the constant flag is rejected as corrupt.
+
+The ``layers`` byte is bounded by :data:`repro.core.predictor.MAX_LAYERS`
+before anything is sized from it: an ``n``-layer ``d``-dimensional
+stencil has ``(n + 1)^d - 1`` arms.
 """
 
 from __future__ import annotations
@@ -32,6 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.bounds import CODE_MODES, MODE_CODES, MODED_MODES
+from repro.core.predictor import MAX_LAYERS
+from repro.core.wavefront import is_segmented
 from repro.encoding.bitio import BitReader, BitWriter
 from repro.encoding.huffman import EncodedStream, HuffmanCodec
 from repro.perf import stage
@@ -44,11 +64,13 @@ __all__ = [
     "FLAG_ARITHMETIC",
     "MODE_CODES",
     "MODED_VERSION",
+    "SEGMENTED_VERSION",
 ]
 
 MAGIC = 0x535A5250  # 'SZRP'
 VERSION = 1
 MODED_VERSION = 2  # version 1 + mode tag / param / side payload
+SEGMENTED_VERSION = 3  # version 2 layout around a segmented 1-D body
 FLAG_CONSTANT = 1
 FLAG_ARITHMETIC = 2  # quantization codes arithmetic- instead of Huffman-coded
 
@@ -60,7 +82,7 @@ _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 _CODE_MODES = CODE_MODES
 
 
-@dataclass
+@dataclass(slots=True)
 class Header:
     dtype: np.dtype
     shape: tuple[int, ...]
@@ -74,6 +96,8 @@ class Header:
     mode_param: float = 0.0
     # A memoryview when parsed from a memoryview container (zero-copy).
     side_payload: bytes | memoryview = b""
+    # A 1-D body coded as independent segments (version 3).
+    segmented: bool = False
 
     @property
     def is_constant(self) -> bool:
@@ -129,10 +153,15 @@ def _write_container(
     constant_value: float = 0.0,
     arith_payload: bytes | None = None,
 ) -> bytes:
-    moded = header.is_moded
+    moded = header.is_moded or header.segmented
+    version = (
+        SEGMENTED_VERSION if header.segmented
+        else MODED_VERSION if moded
+        else VERSION
+    )
     w = BitWriter()
     w.write(MAGIC, 32)
-    w.write(MODED_VERSION if moded else VERSION, 8)
+    w.write(version, 8)
     w.write(_DTYPE_CODES[np.dtype(header.dtype)], 8)
     w.write(len(header.shape), 8)
     w.write(header.interval_bits, 8)
@@ -203,8 +232,10 @@ def _read_container(
         if r.read(32) != MAGIC:
             raise ValueError("not an SZ-1.4 (repro) container: bad magic")
         version = r.read(8)
-        if version not in (VERSION, MODED_VERSION):
+        if version not in (VERSION, MODED_VERSION, SEGMENTED_VERSION):
             raise ValueError(f"unsupported container version {version}")
+        segmented = version == SEGMENTED_VERSION
+        moded = version != VERSION
         dtype_code = r.read(8)
         if dtype_code not in _CODE_DTYPES:
             raise ValueError(f"corrupt container: unknown dtype code {dtype_code}")
@@ -212,12 +243,26 @@ def _read_container(
         ndim = r.read(8)
         if ndim < 1:
             raise ValueError("corrupt container: ndim must be >= 1")
+        if segmented and ndim != 1:
+            raise ValueError(
+                f"corrupt container: version {version} with ndim {ndim}"
+            )
         interval_bits = r.read(8)
         layers = r.read(8)
+        if not 1 <= layers <= MAX_LAYERS:
+            raise ValueError(
+                f"corrupt container: {layers} prediction layers "
+                f"(supported: 1..{MAX_LAYERS})"
+            )
         flags = r.read(8)
         shape = tuple(r.read(48) for _ in range(ndim))
         if any(s < 1 for s in shape):
             raise ValueError("corrupt container: non-positive extent")
+        if segmented and (flags & FLAG_CONSTANT or not is_segmented(shape)):
+            raise ValueError(
+                f"corrupt container: version {version} on a constant or "
+                f"single-segment {shape} body"
+            )
         eb_abs = _bits_f64(r.read(64))
         value_range = _bits_f64(r.read(64))
         unpred_count = r.read(48)
@@ -230,7 +275,7 @@ def _read_container(
                 f"for {n_values} points"
             )
         mode, mode_param = "abs", 0.0  # untagged v1 blobs decode as abs
-        if version == MODED_VERSION:
+        if moded:
             mode_code = r.read(8)
             if mode_code not in _CODE_MODES:
                 raise ValueError(
@@ -240,7 +285,7 @@ def _read_container(
             mode_param = _bits_f64(r.read(64))
         header = Header(
             dtype, shape, interval_bits, layers, eb_abs, value_range,
-            unpred_count, flags, mode, mode_param,
+            unpred_count, flags, mode, mode_param, segmented=segmented,
         )
         if header.is_constant:
             constant = _bits_f64(r.read(64))
@@ -268,7 +313,7 @@ def _read_container(
             raise EOFError("truncated container: unpredictable payload")
         payload = blob[pos : pos + unpred_len]
         pos += unpred_len
-        if version == MODED_VERSION:
+        if moded:
             side_len = int.from_bytes(blob[pos : pos + 6], "big")
             pos += 6
             if pos + side_len > len(blob):

@@ -33,16 +33,26 @@ Kernel-level optimizations, each pinned byte-identical by
   the maximum plane size and every ufunc writes through ``out=``; the
   accumulation *order* of the prediction sum is preserved exactly
   (including the ``+0.0`` start that normalizes signed zeros).
-* **batched replay** — :func:`wavefront_decompress_batch` replays ``B``
-  same-shape streams (the tiles of a tiled read) in one sweep: the
-  working array is ``(point, stream)`` and each stream's bound is a
-  column, so every per-plane ufunc covers all ``B``.  Whole-array
-  decode is the same kernel at ``B = 1``.
+* **lanes** — the working array is ``(point, lane)``: each hyperplane is
+  a contiguous block of rows and every per-plane ufunc covers all lanes
+  at once.  A lane is one independent stream: a tile of a batched tiled
+  read (:func:`wavefront_decompress_batch`, each tile's bound a column),
+  or one segment of a 1-D array.  A single lane runs on 1-D views, the
+  exact whole-array kernel.
+* **1-D segments** — a 1-D array has one point per hyperplane, so its
+  sweep is as long as the array.  :func:`segment_layout` cuts an array
+  longer than ``SEGMENT_MIN`` points into balanced segments, each
+  predicted from its own zero prologue, and the encoder and decoder
+  sweep all of them together as lanes.  Codes, unpredictable values and
+  reconstructions stay in raster order, the concatenation of the
+  segments.  Each segment's head is predicted from zeros, which costs
+  about one unpredictable value per segment.
 
 The kernels run in the calling process; parallel work is split by
 tiles and files (:func:`repro.parallel.pool.pool_map`), never inside one
-sweep.  One-dimensional arrays have singleton hyperplanes, so a
-dedicated tight scalar loop handles ``d == 1``.
+sweep.  1-D streams written before segmentation (containers before
+version 3) replay through the sequential scalar decoder
+:func:`_decompress_1d`.
 """
 
 from __future__ import annotations
@@ -57,7 +67,12 @@ from repro.core.unpredictable import truncate_to_bound
 from repro.perf import stage
 
 __all__ = [
+    "SEGMENT_MAX",
+    "SEGMENT_MIN",
+    "SEGMENT_TARGET",
     "WavefrontPlan",
+    "is_segmented",
+    "segment_layout",
     "wavefront_compress",
     "wavefront_decompress",
     "wavefront_decompress_batch",
@@ -67,6 +82,34 @@ __all__ = [
 #: the kernels rebuild each plane's indices on the fly (identical output,
 #: slightly slower) instead of pinning hundreds of MB in the plan cache.
 _TABLE_BYTES_MAX = 128 * 1024 * 1024
+
+#: The 1-D segment rule (part of the version 3 container format): aim
+#: for ``SEGMENT_TARGET`` segments of ``SEGMENT_MIN``..``SEGMENT_MAX``
+#: points.  Short arrays stay one segment; long arrays get more lanes,
+#: never longer sweeps.
+SEGMENT_TARGET = 64
+SEGMENT_MIN = 256
+SEGMENT_MAX = 4096
+
+
+def segment_layout(n: int) -> tuple[int, int]:
+    """``(segments, lane points)`` of a 1-D array of ``n`` points.
+
+    The segment length is ``clamp(ceil(n / SEGMENT_TARGET), SEGMENT_MIN,
+    SEGMENT_MAX)``, rebalanced so that the ``segments = ceil(n / length)``
+    segments differ in length by at most one.  The first
+    ``n - segments * (points - 1)`` segments hold ``points`` values, the
+    rest one fewer; consecutive segments tile the array in raster order.
+    ``n <= SEGMENT_MIN`` is a single segment of ``n`` points.
+    """
+    length = min(max(-(-n // SEGMENT_TARGET), SEGMENT_MIN), SEGMENT_MAX)
+    segments = -(-n // length)
+    return segments, -(-n // segments)
+
+
+def is_segmented(shape: tuple[int, ...]) -> bool:
+    """Does an array of ``shape`` encode as two or more 1-D segments?"""
+    return len(shape) == 1 and segment_layout(int(shape[0]))[0] > 1
 
 
 class WavefrontResult:
@@ -116,6 +159,8 @@ def _wavefront_to_raster(
     dec_wf: np.ndarray, plan: WavefrontPlan, out_dtype: np.dtype
 ) -> np.ndarray:
     """Scatter the wavefront-order reconstruction back to raster order."""
+    if plan.segments > 1:
+        return plan.join(dec_wf[1:], out_dtype).reshape(plan.shape)
     out = np.empty(plan.order.size, dtype=dec_wf.dtype)
     out[plan.order] = dec_wf[1:]
     return out.reshape(plan.shape).astype(out_dtype)
@@ -128,6 +173,11 @@ class WavefrontPlan:
     ``(shape, n, dtype)`` — the dtype is part of the identity because the
     plan fixes the working array's ``interior_dtype``; the compressor
     keeps a small cache keyed accordingly.
+
+    A 1-D shape is cut into ``segments`` lanes by :func:`segment_layout`;
+    the traversal fields (``order``, ``groups``, gather tables) then
+    describe one lane of ``lane_shape``.  Every other shape is one lane
+    and ``lane_shape == shape``.
     """
 
     def __init__(
@@ -146,18 +196,16 @@ class WavefrontPlan:
         offsets, coeffs = prediction_stencil(self.n, self.ndim)
         self.coeffs = coeffs
         self.signs = unit_coeff_signs(coeffs)
-        self.padded_shape = tuple(s + self.n for s in self.shape)
+        self.segments = self.full_segments = 1
+        self.lane_shape = self.shape
+        if self.ndim == 1:
+            self.segments, points = segment_layout(self.shape[0])
+            self.lane_shape = (points,)
+            # Segments of `points` values; the rest hold one fewer.
+            self.full_segments = self.shape[0] - self.segments * (points - 1)
+        self.padded_shape = tuple(s + self.n for s in self.lane_shape)
         self.gather_tables: list[np.ndarray] | None = None
         self.table_bytes = 0
-        if self.ndim == 1:
-            # 1-D uses the dedicated scalar kernels; no traversal tables.
-            self.deltas = np.zeros(0, dtype=np.int64)
-            self.order = np.arange(self.shape[0], dtype=np.int64)
-            self.groups: list[tuple[int, int]] = []
-            self.pad_flat = np.zeros(0, dtype=np.int64)
-            self.wf_pos = np.zeros(0, dtype=np.int64)
-            self.max_group = 0
-            return
         # C-order element strides of the padded index space.
         pad_strides = np.ones(self.ndim, dtype=np.int64)
         for axis in range(self.ndim - 2, -1, -1):
@@ -166,7 +214,8 @@ class WavefrontPlan:
         self.deltas = offsets @ pad_strides
         # Traversal: stable sort of flat indices by coordinate sum.
         coord_sum = reduce(
-            np.add.outer, [np.arange(s, dtype=np.int32) for s in self.shape]
+            np.add.outer,
+            [np.arange(s, dtype=np.int32) for s in self.lane_shape],
         ).ravel()
         self.order = np.argsort(coord_sum, kind="stable")
         sums = coord_sum[self.order]
@@ -177,7 +226,7 @@ class WavefrontPlan:
         ]
         self.max_group = max(e - s for s, e in self.groups)
         # Padded flat index of every point, in wavefront order.
-        coords = np.unravel_index(self.order, self.shape)
+        coords = np.unravel_index(self.order, self.lane_shape)
         n_points = self.order.size
         pad_flat = np.zeros(n_points, dtype=np.int64)
         for axis in range(self.ndim):
@@ -219,6 +268,48 @@ class WavefrontPlan:
         """Gather table for one hyperplane, built on the fly (fallback)."""
         return self.wf_pos[self.pad_flat[start:end] - self.deltas[:, None]]
 
+    def split(self, rows: np.ndarray, fill: float | bool) -> np.ndarray:
+        """Cut ``(B, N)`` raster rows into the ``(points, B * segments)``
+        lane matrix of a segmented 1-D plan.
+
+        Lane ``b * segments + s`` holds segment ``s`` of row ``b``.  A
+        short segment ends in a dummy point holding ``fill``; its code
+        and value are dropped again by :meth:`join`.
+        """
+        batch, seg, full = rows.shape[0], self.segments, self.full_segments
+        points = self.lane_shape[0]
+        head = full * points
+        out = np.empty((points, batch, seg), dtype=rows.dtype)
+        out[:, :, :full] = (
+            rows[:, :head].reshape(batch, full, points).transpose(2, 0, 1)
+        )
+        out[:-1, :, full:] = (
+            rows[:, head:]
+            .reshape(batch, seg - full, points - 1)
+            .transpose(2, 0, 1)
+        )
+        out[-1, :, full:] = fill
+        return out.reshape(points, batch * seg)
+
+    def join(self, lanes: np.ndarray, dtype: np.dtype | type) -> np.ndarray:
+        """Inverse of :meth:`split`: ``(points, B * segments)`` lanes to
+        ``(B, N)`` raster rows of ``dtype``, dummy points dropped."""
+        seg, full = self.segments, self.full_segments
+        points = self.lane_shape[0]
+        batch = lanes.shape[1] // seg
+        head = full * points
+        by_lane = lanes.reshape(points, batch, seg)
+        out = np.empty((batch, self.shape[0]), dtype=dtype)
+        # Splitting the contiguous last axis is always a view, so these
+        # reshapes write through to `out`.
+        out[:, :head].reshape(batch, full, points)[...] = (
+            by_lane[:, :, :full].transpose(1, 2, 0)
+        )
+        out[:, head:].reshape(batch, seg - full, points - 1)[...] = (
+            by_lane[:-1, :, full:].transpose(1, 2, 0)
+        )
+        return out
+
 
 def wavefront_compress(
     data: np.ndarray,
@@ -228,8 +319,9 @@ def wavefront_compress(
 ) -> WavefrontResult:
     """Run prediction + error-controlled quantization over ``data``.
 
-    Returns codes and unpredictable originals in wavefront order, plus
-    (lazily) the exact array a decompressor will reconstruct.
+    Returns codes and unpredictable originals in stream order (wavefront
+    order; raster order for a 1-D array), plus (lazily) the exact array a
+    decompressor will reconstruct.
     """
     with stage("quantize", nbytes=data.nbytes):
         return _wavefront_compress(data, eb, plan, radius)
@@ -253,26 +345,32 @@ def _wavefront_compress(
     plan: WavefrontPlan,
     radius: int,
 ) -> WavefrontResult:
-    if data.ndim == 1:
-        return _compress_1d(data, eb, plan.n, radius)
     out_dtype = data.dtype
     idt = _effective_interior(plan, out_dtype)
     store_f32 = idt == np.float32
     f32_out = out_dtype == np.float32
-    values_orig_wf = data.reshape(-1).take(plan.order)
+    # The working arrays are (point, lane) with one shared bound; a
+    # single lane runs on 1-D views (lane shape ``()``).
+    seg = plan.segments
+    lanes: tuple[int, ...] = () if seg == 1 else (seg,)
+    if seg == 1:
+        values_orig_wf = data.reshape(-1).take(plan.order)
+    else:
+        values_orig_wf = plan.split(data.reshape(1, -1), 0.0)
     values_wf = (
         values_orig_wf
         if out_dtype == np.float64
         else values_orig_wf.astype(np.float64)
     )
-    n_points = values_wf.size
-    dec_wf = np.zeros(n_points + 1, dtype=idt)  # slot 0: padding zero
+    n_points = plan.order.size
+    # Slot 0 of every lane is the padding zero.
+    dec_wf = np.zeros((n_points + 1,) + lanes, dtype=idt)
     # Deferred code materialization: raw quantization offsets and the
     # predictable mask accumulate per plane; one vectorized epilogue
     # turns them into codes (cheaper than per-plane int casts).
-    qall = np.empty(n_points, dtype=np.float64)
-    ok_all = np.empty(n_points, dtype=bool)
-    unpred_chunks: list[np.ndarray] = []
+    qall = np.empty((n_points,) + lanes, dtype=np.float64)
+    ok_all = np.empty((n_points,) + lanes, dtype=bool)
+    any_miss = False
     coeffs, signs, tables = plan.coeffs, plan.signs, plan.gather_tables
     # Finiteness of the whole field in two reductions (min/max are NaN-
     # and Inf-poisoning), avoiding the full isfinite mask when clean.
@@ -283,7 +381,7 @@ def _wavefront_compress(
     fradius = float(radius)
     # Scratch buffers at the maximum plane size; every per-plane ufunc
     # writes through out= into contiguous views of these.
-    msize = plan.max_group
+    msize = (plan.max_group,) + lanes
     pred_s = np.empty(msize, dtype=np.float64)
     tmp_s = np.empty(msize, dtype=np.float64)
     diff_s = np.empty(msize, dtype=np.float64)
@@ -293,7 +391,7 @@ def _wavefront_compress(
         for gi, (start, end) in enumerate(plan.groups):
             m = end - start
             tab = tables[gi] if tables is not None else plan.plane_table(start, end)
-            gathered = dec_wf.take(tab)
+            gathered = dec_wf.take(tab, axis=0)
             nbr = gathered.astype(np.float64) if store_f32 else gathered
             pred = pred_s[:m]
             pred.fill(0.0)
@@ -346,17 +444,29 @@ def _wavefront_compress(
                 recon = diff
                 recon[...] = rc
             if not ok.all():
+                any_miss = True
                 miss = mask_s[:m]
                 np.logical_not(ok, out=miss)
-                originals = values_orig_wf[start:end][miss]
-                unpred_chunks.append(originals)
-                recon[miss] = truncate_to_bound(originals, eb)
+                recon[miss] = truncate_to_bound(
+                    values_orig_wf[start:end][miss], eb
+                )
             dec_wf[1 + start : 1 + end] = recon
 
-    codes, unpredictable = _materialize_codes(
-        qall, ok_all, unpred_chunks, fradius, out_dtype
+    del values_wf, finite_wf
+    codes, miss_all = _materialize_codes(qall, ok_all, any_miss, fradius)
+    del qall, ok_all
+    if seg > 1:
+        # A segmented stream is in raster order; dummy points drop out.
+        values_orig_wf = data.reshape(-1)
+        codes = plan.join(codes, np.int64)[0]
+        if miss_all is not None:
+            miss_all = plan.join(miss_all, bool)[0]
+    unpredictable = (
+        values_orig_wf[miss_all]
+        if miss_all is not None
+        else np.zeros(0, dtype=out_dtype)
     )
-    hit_rate = 1.0 - unpredictable.size / max(1, n_points)
+    hit_rate = 1.0 - unpredictable.size / max(1, codes.size)
     return WavefrontResult(
         codes, unpredictable, None, hit_rate,
         dec_wf=dec_wf, plan=plan, out_dtype=out_dtype,
@@ -366,23 +476,23 @@ def _wavefront_compress(
 def _materialize_codes(
     qall: np.ndarray,
     ok_all: np.ndarray,
-    unpred_chunks: list[np.ndarray],
+    any_miss: bool,
     fradius: float,
-    out_dtype: np.dtype,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Turn accumulated offsets + predictable mask into final codes."""
-    if unpred_chunks:
-        miss_all = np.logical_not(ok_all)
-        # Wild offsets (outside the code range) sit at miss positions;
-        # zero them before the int cast to avoid undefined conversions.
-        np.copyto(qall, 0.0, where=miss_all)
-        codes = np.add(qall, fradius, out=qall).astype(np.int64)
-        codes[miss_all] = UNPREDICTABLE
-        unpredictable = np.concatenate(unpred_chunks)
-    else:
-        codes = np.add(qall, fradius, out=qall).astype(np.int64)
-        unpredictable = np.zeros(0, dtype=out_dtype)
-    return codes, unpredictable
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Turn accumulated offsets + predictable mask into final codes.
+
+    Returns the codes and the unpredictable mask (``None`` when every
+    point was predictable).
+    """
+    if not any_miss:
+        return np.add(qall, fradius, out=qall).astype(np.int64), None
+    miss_all = np.logical_not(ok_all)
+    # Wild offsets (outside the code range) sit at miss positions; zero
+    # them before the int cast to avoid undefined conversions.
+    np.copyto(qall, 0.0, where=miss_all)
+    codes = np.add(qall, fradius, out=qall).astype(np.int64)
+    codes[miss_all] = UNPREDICTABLE
+    return codes, miss_all
 
 
 def wavefront_decompress(
@@ -392,15 +502,17 @@ def wavefront_decompress(
     eb: float,
     radius: int,
     out_dtype: np.dtype,
+    segmented: bool = True,
 ) -> np.ndarray:
-    """Replay prediction from codes; inverse of :func:`wavefront_compress`."""
-    n_out = 1
-    for s in plan.shape:
-        n_out *= s
-    with stage("dequantize", nbytes=n_out * np.dtype(out_dtype).itemsize):
-        return _wavefront_decompress(
-            codes, unpred_recon, plan, eb, radius, out_dtype
-        )
+    """Replay prediction from codes; inverse of :func:`wavefront_compress`.
+
+    ``segmented=False`` marks a 1-D stream from a container before
+    version 3, coded as one sequential scan of the whole array.
+    """
+    return wavefront_decompress_batch(
+        codes.reshape(1, -1), [unpred_recon], plan, [eb], radius, out_dtype,
+        segmented,
+    )[0]
 
 
 def wavefront_decompress_batch(
@@ -410,34 +522,24 @@ def wavefront_decompress_batch(
     ebs: list[float],
     radius: int,
     out_dtype: np.dtype,
+    segmented: bool = True,
 ) -> np.ndarray:
     """Replay ``B`` same-shape streams in one sweep; returns ``(B, *shape)``.
 
-    ``codes`` is ``(B, n)`` in wavefront order, one row per stream;
+    ``codes`` is ``(B, n)`` in stream order, one row per stream;
     ``unpred_recon[b]`` and ``ebs[b]`` are stream ``b``'s unpredictable
     reconstructions and absolute bound.  Every stream shares the plan
-    (shape, layers, dtype) and ``radius``.  Row ``b`` of the result is
+    (shape, layers, dtype), ``radius`` and ``segmented`` (see
+    :func:`wavefront_decompress`).  Row ``b`` of the result is
     bit-identical to :func:`wavefront_decompress` of stream ``b`` alone:
     the arithmetic per element is the same, and the bound rides along
     as a column.
     """
     n_out = int(codes.size)
     with stage("dequantize", nbytes=n_out * np.dtype(out_dtype).itemsize):
-        return _replay(codes, unpred_recon, plan, ebs, radius, out_dtype)
-
-
-def _wavefront_decompress(
-    codes: np.ndarray,
-    unpred_recon: np.ndarray,
-    plan: WavefrontPlan,
-    eb: float,
-    radius: int,
-    out_dtype: np.dtype,
-) -> np.ndarray:
-    """Serial replay of one stream: the batch kernel at ``B = 1``."""
-    return _replay(
-        codes.reshape(1, -1), [unpred_recon], plan, [eb], radius, out_dtype
-    )[0]
+        return _replay(
+            codes, unpred_recon, plan, ebs, radius, out_dtype, segmented
+        )
 
 
 def _replay(
@@ -447,10 +549,13 @@ def _replay(
     ebs: list[float],
     radius: int,
     out_dtype: np.dtype,
+    segmented: bool,
 ) -> np.ndarray:
     """The one dequantize kernel: ``(B, n)`` codes to ``(B, *shape)``."""
     batch = codes.shape[0]
-    if len(plan.shape) == 1:
+    seg = plan.segments
+    if seg > 1 and not segmented:
+        # A 1-D stream coded before segmentation: one scan per stream.
         out = np.empty((batch,) + plan.shape, dtype=out_dtype)
         for b in range(batch):
             out[b] = _decompress_1d(
@@ -458,19 +563,19 @@ def _replay(
                 radius, out_dtype,
             )
         return out
-    # The working array is (point, stream): each hyperplane is a
-    # contiguous block of rows, so gathers and stores stay row slices
-    # and every per-plane ufunc covers all B streams at once.  A single
-    # stream runs on 1-D views (batch shape ``()``), the exact
-    # whole-array kernel.
+    # The working array is (point, lane), one lane per stream segment:
+    # each hyperplane is a contiguous block of rows, so gathers and
+    # stores stay row slices and every per-plane ufunc covers all lanes
+    # at once.  A single lane runs on 1-D views (lane shape ``()``), the
+    # exact whole-array kernel.
     out_dtype = np.dtype(out_dtype)
     idt = _effective_interior(plan, out_dtype)
     store_f32 = idt == np.float32
     f32_out = out_dtype == np.float32
-    lanes: tuple[int, ...] = () if batch == 1 else (batch,)
+    width = batch * seg
+    lanes: tuple[int, ...] = () if width == 1 else (width,)
     n_points = plan.order.size
     dec_wf = np.zeros((n_points + 1,) + lanes, dtype=idt)
-    codes_pb = codes.reshape(-1) if batch == 1 else codes.T
     coeffs, signs, tables = plan.coeffs, plan.signs, plan.gather_tables
     miss_all = codes == UNPREDICTABLE
     counts = miss_all.sum(axis=1, dtype=np.int64)
@@ -480,31 +585,39 @@ def _replay(
                 "corrupt stream: unpredictable-value count mismatch "
                 f"({int(counts[b])} coded, {unpred_recon[b].size} stored)"
             )
+    if seg > 1:
+        # A dummy point replays code `radius` (offset 0), never a miss.
+        codes_pb = plan.split(codes, radius)
+        miss_pb = plan.split(miss_all, False)
+    elif batch == 1:
+        codes_pb, miss_pb = codes.reshape(-1), miss_all.reshape(-1)
+    else:
+        codes_pb, miss_pb = codes.T, miss_all.T
     total_miss = int(counts.sum(dtype=np.int64))
     plane_miss = None
     if total_miss:
         # Unpredictable values go straight to their slots; a plane with
-        # misses then keeps them over its predicted values.
-        rows, pts = np.nonzero(miss_all)
+        # misses then keeps them over its predicted values.  Lane-major
+        # order is each stream's raster (segmented) or wavefront order,
+        # the order its values are stored in.
         vals = np.concatenate(unpred_recon).astype(idt, copy=False)
-        if batch == 1:
-            dec_wf[1 + pts] = vals
-            miss_pb = miss_all.reshape(-1)
+        if width == 1:
+            dec_wf[1 + np.flatnonzero(miss_pb)] = vals
             any_miss = miss_pb
         else:
-            dec_wf[1 + pts, rows] = vals
-            miss_pb = miss_all.T
-            any_miss = miss_all.any(axis=0)
+            lane, pts = np.nonzero(miss_pb.T)
+            dec_wf[1 + pts, lane] = vals
+            any_miss = miss_pb.any(axis=1)
         starts = np.fromiter(
             (g[0] for g in plan.groups), dtype=np.int64, count=len(plan.groups)
         )
         plane_miss = np.add.reduceat(
             any_miss.astype(np.int64), starts, dtype=np.int64
         )
-    if batch == 1:
+    if width == 1:
         two_eb = 2.0 * float(ebs[0])
     else:
-        two_eb = 2.0 * np.asarray(ebs, dtype=np.float64)
+        two_eb = 2.0 * np.repeat(np.asarray(ebs, dtype=np.float64), seg)
     fradius = float(radius)
     msize = (plan.max_group,) + lanes
     pred_s = np.empty(msize, dtype=np.float64)
@@ -553,56 +666,12 @@ def _replay(
             if plane_miss is not None and plane_miss[gi]:
                 np.copyto(recon, dst, where=miss_pb[start:end])
             dst[...] = recon
+    if seg > 1:
+        return plan.join(dec_wf[1:], out_dtype).reshape((batch,) + plan.shape)
     out = np.empty((batch, n_points), dtype=out_dtype)
     for b in range(batch):
         out[b][plan.order] = dec_wf[1:] if batch == 1 else dec_wf[1:, b]
     return out.reshape((batch,) + plan.shape)
-
-
-def _compress_1d(
-    data: np.ndarray, eb: float, n: int, radius: int
-) -> WavefrontResult:
-    """Sequential scalar kernel for 1-D arrays (singleton hyperplanes)."""
-    out_dtype = data.dtype
-    coeffs = prediction_stencil(n, 1)[1].tolist()
-    x64 = data.astype(np.float64)
-    N = x64.size
-    dec = np.zeros(N + n, dtype=np.float64)  # n-element zero prologue
-    codes = np.zeros(N, dtype=np.int64)
-    unpred_idx: list[int] = []
-    two_eb = 2.0 * eb
-    xs = x64.tolist()
-    cast = out_dtype.type
-    # Extreme finite inputs overflow the float64 residual; the range
-    # gate below routes them to the unpredictable path, as in the N-d
-    # kernel.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(N):
-            pred = 0.0
-            for k in range(n):
-                pred += coeffs[k] * dec[i + n - 1 - k]
-            x = xs[i]
-            d = (x - pred) / two_eb
-            # The range gate is also the NaN/Inf guard: a non-finite x (or a
-            # prediction poisoned by a raw-stored Inf neighbour) fails the
-            # comparison and falls through to the unpredictable path, exactly
-            # like the vectorized N-d kernel.
-            if -radius < d < radius:
-                q = round(d)
-                if -radius < q < radius:
-                    recon = float(cast(pred + q * two_eb))
-                    if abs(x - recon) <= eb and np.isfinite(recon):
-                        codes[i] = q + radius
-                        dec[i + n] = recon
-                        continue
-            unpred_idx.append(i)
-            dec[i + n] = float(
-                truncate_to_bound(np.array([x], dtype=out_dtype), eb)[0]
-            )
-    unpredictable = data[np.array(unpred_idx, dtype=np.int64)] if unpred_idx else np.zeros(0, dtype=out_dtype)
-    decompressed = dec[n:].astype(out_dtype)
-    hit_rate = 1.0 - len(unpred_idx) / max(1, N)
-    return WavefrontResult(codes, unpredictable, decompressed, hit_rate)
 
 
 def _decompress_1d(
@@ -614,6 +683,11 @@ def _decompress_1d(
     radius: int,
     out_dtype: np.dtype,
 ) -> np.ndarray:
+    """Sequential scalar decoder of a pre-segmentation 1-D stream.
+
+    Containers before version 3 coded a 1-D array as one raster scan;
+    their streams replay here, one point at a time.
+    """
     coeffs = prediction_stencil(n, 1)[1].tolist()
     dec = np.zeros(N + n, dtype=np.float64)
     codes_l = codes.tolist()

@@ -28,7 +28,7 @@ __all__ = [
 #: Curated shapes that stress the grouped wavefront dispatch: prime-length
 #: axes (maximally uneven hyperplane sizes), 1-wide slabs (degenerate
 #: leading/trailing axes), shapes where every hyperplane is a single
-#: point, and the scalar 1-D kernel.
+#: point, and 1-D arrays of a single segment (one lane).
 ADVERSARIAL_SHAPES: tuple[tuple[int, ...], ...] = (
     (7, 11),
     (5, 7, 3),

@@ -25,6 +25,7 @@ import repro
 from repro.api import Codec, SZConfig, get_codec
 from repro.core import ErrorBound, compress, compress_with_stats, decompress
 from repro.core.compressor import compress_array
+from repro.core.predictor import MAX_LAYERS
 from repro.encoding.bitio import BitReader
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
@@ -66,6 +67,11 @@ class TestSZConfigValidation:
     def test_invalid_configs_raise_at_construction(self, kwargs):
         with pytest.raises(ValueError):
             SZConfig(**kwargs)
+
+    def test_layers_capped_at_max_layers(self):
+        assert SZConfig(("rel", 1e-4), layers=MAX_LAYERS).layers == MAX_LAYERS
+        with pytest.raises(ValueError, match="layers"):
+            SZConfig(("rel", 1e-4), layers=MAX_LAYERS + 1)
 
     def test_from_kwargs_mutual_exclusion(self):
         with pytest.raises(ValueError):

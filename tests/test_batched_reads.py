@@ -249,6 +249,57 @@ class TestGoldenTiled:
         _assert_bits_equal(ref, np.load(GOLDEN / f"{name}.decoded.npy"))
 
 
+class TestSegmented1D:
+    """1-D tiles longer than one segment bring one lane per segment;
+    tiles written before segmenting replay one scan per tile."""
+
+    def test_segmented_tiles(self):
+        data = _field((3000,), np.float32, seed=13)
+        blob = compress_tiled(data, tile_shape=(1100,), mode="rel", bound=1e-4)
+        with TiledReader(blob) as reader:
+            assert all(
+                parse_container(reader.read_tile_bytes(i)).header.segmented
+                for i in range(reader.n_tiles)
+            )
+        _assert_batched_reads_match(blob)
+
+    def test_legacy_tiles(self):
+        name = "v2_tiled_legacy_1d_rel_f32"
+        blob = (GOLDEN / f"{name}.szt").read_bytes()
+        with TiledReader(blob) as reader:
+            assert not any(
+                parse_container(reader.read_tile_bytes(i)).header.segmented
+                for i in range(reader.n_tiles)
+            )
+        ref = _assert_batched_reads_match(blob)
+        _assert_bits_equal(ref, np.load(GOLDEN / f"{name}.decoded.npy"))
+
+    def test_tiles_times_segments_in_one_batch(self):
+        # Same-shape segmented containers share one sweep of B * S
+        # lanes; a legacy container of that shape and a single-segment
+        # one each keep their own sweep.
+        configs = [
+            SZConfig.from_kwargs(mode="abs", bound=1e-3),
+            SZConfig.from_kwargs(mode="rel", bound=1e-4),
+            SZConfig.from_kwargs(mode="pw_rel", bound=1e-3),
+            SZConfig.from_kwargs(mode="abs", bound=1e-2, layers=2),
+        ]
+        containers = [
+            compress_array(_field((773,), np.float32, seed=20 + i), c)[0]
+            for i, c in enumerate(configs)
+        ]
+        containers.append(compress_array(_field((200,), np.float32), configs[0])[0])
+        containers.append((GOLDEN / "v1_legacy_1d_rel_f32.sz").read_bytes())
+        containers.append((GOLDEN / "v3_seg_rel_f32.sz").read_bytes())
+        parsed = [parse_container(b) for b in containers]
+        assert [p.header.segmented for p in parsed] == [True] * 4 + [
+            False, False, True,
+        ]
+        got = decompress_batch(parsed)
+        for blob, out in zip(containers, got):
+            _assert_bits_equal(out, decompress(blob))
+
+
 class TestObservability:
     def test_one_span_per_row_with_tiles_and_lanes(self):
         data = _field((37, 45), np.float32, seed=12)

@@ -19,6 +19,7 @@ from repro.chunked import (
 )
 from repro.chunked.format import TAIL_BYTES
 from repro.core import compress, decompress
+from repro.core.predictor import MAX_LAYERS
 
 
 def _field(shape, seed=3):
@@ -191,3 +192,32 @@ class TestV2Truncation:
         for blob in (b"", b"SZRT", b"SZRT" + b"\x00" * 10):
             with pytest.raises(ValueError):
                 decompress_tiled(blob)
+
+
+class TestHeaderLimits:
+    """Header fields that size the decode work are bounded up front."""
+
+    @pytest.mark.parametrize("layers", [0, MAX_LAYERS + 1, 129])
+    def test_flipped_layers_byte_rejected(self, layers):
+        """Regression: the layers byte sized the prediction stencil
+        unchecked; flipping 1 to 129 decoded a 2-D blob through a
+        16 899-arm stencil (a 3-D one asks for (layers + 1)^3 arms)."""
+        blob = bytearray(compress(_field((18, 24)), mode="pw_rel", bound=1e-3))
+        assert blob[8] == 1  # layers byte
+        blob[8] = layers
+        with pytest.raises(ValueError, match="prediction layers"):
+            decompress(bytes(blob))
+
+    def test_segmented_version_with_ndim_2_rejected(self):
+        blob = bytearray(compress(_field((10, 14)), mode="pw_rel", bound=1e-3))
+        assert blob[4] == 2
+        blob[4] = 3  # the segmented 1-D version on a 2-D body
+        with pytest.raises(ValueError, match="version 3 with ndim 2"):
+            decompress(bytes(blob))
+
+    def test_segmented_version_on_single_segment_rejected(self):
+        blob = bytearray(compress(_field((200,)), mode="pw_rel", bound=1e-3))
+        assert blob[4] == 2  # 200 points: one segment, version 2
+        blob[4] = 3
+        with pytest.raises(ValueError, match="single-segment"):
+            decompress(bytes(blob))

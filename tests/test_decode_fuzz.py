@@ -9,6 +9,10 @@ count — fails the test.  Half of the bit flips land in the first
 ``_HEADER_BYTES`` bytes: the header's counts and extents size every
 allocation downstream, and they carry no CRC.
 
+The ``(300,)`` blobs are segmented 1-D containers (version 3); the
+1-D golden blobs add a ragged segmented one per mode family and the
+legacy version 1/2 1-D containers, which replay one sequential scan.
+
 Pinned regressions: ``lossless_post``-wrapped blobs leaked ``EOFError``
 from the DEFLATE unwrap; a flipped extent made the arithmetic decoder
 allocate terabytes before reading a bit; and a flipped constant flag
@@ -18,6 +22,7 @@ made the constant-field shortcut allocate from a flipped extent.
 from __future__ import annotations
 
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +32,7 @@ from repro.core import compress, decompress
 from repro.core.lossless_post import is_wrapped
 from repro.encoding.deflate import deflate_compress
 
+GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 _SEED = 20240613
 _TRIALS = 40
 _HEADER_BYTES = 48
@@ -105,4 +111,30 @@ def test_damaged_szrt_raises_only_value_error(mode, bound):
         blob,
         lambda b: decompress_region(b, (slice(4, 12), slice(10, 20))),
         f"region-{mode}",
+    )
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "v3_seg_rel_f32.sz",
+        "v3_seg_pwrel_f64.sz",
+        "v1_legacy_1d_rel_f32.sz",
+        "v2_legacy_1d_pwrel_f64.sz",
+    ],
+)
+def test_damaged_1d_golden_raises_only_value_error(name):
+    blob = (GOLDEN / name).read_bytes()
+    _assert_only_value_error(blob, decompress, name)
+
+
+def test_damaged_segmented_szrt_raises_only_value_error():
+    blob = compress_tiled(
+        _field((1500,)), tile_shape=(600,), mode="rel", bound=1e-3
+    )
+    _assert_only_value_error(blob, decompress_tiled, "tiled-1d")
+    _assert_only_value_error(
+        blob,
+        lambda b: decompress_region(b, (slice(500, 700),)),
+        "region-1d",
     )

@@ -152,8 +152,9 @@ class TestGroupedDispatchEdgeGolden:
     These fixtures were generated before the grouped-index-table kernel
     landed; they pin the shapes where batching is most likely to go
     wrong: prime-length axes (uneven hyperplane sizes), a shape where
-    every hyperplane is a single point, the scalar 1-D kernel, and a
-    1-wide slab (degenerate leading axis).
+    every hyperplane is a single point, a 1-D array (one segment, so
+    one lane of the 1-D sweep), and a 1-wide slab (degenerate leading
+    axis).
     """
 
     CASES = [
@@ -203,3 +204,72 @@ class TestModedCorruption:
         blob[offset] = 0xEE
         with pytest.raises(ValueError, match="mode"):
             decompress(bytes(blob))
+
+
+class TestSegmented1DGolden:
+    """Version 3: a 1-D body cut into segments swept as lanes.
+
+    The sources hold ``3 * 256 + 5`` points, four segments of 194/193
+    points, so the last three segments end in a dummy point.
+    """
+
+    CASES = [
+        ("v3_seg_rel_f32", "series_f32.npy", {"mode": "rel", "bound": 1e-3}),
+        ("v3_seg_pwrel_f64", "series_f64.npy", {"mode": "pw_rel", "bound": 1e-3}),
+    ]
+
+    @pytest.mark.parametrize("name,src,kw", CASES, ids=[c[0] for c in CASES])
+    def test_decodes_bit_exact(self, name, src, kw):
+        out = decompress(_blob(f"{name}.sz"))
+        expected = _decoded(name)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        np.testing.assert_array_equal(
+            out.view(np.uint8), expected.view(np.uint8)
+        )
+
+    @pytest.mark.parametrize("name,src,kw", CASES, ids=[c[0] for c in CASES])
+    def test_recompress_byte_identical(self, name, src, kw):
+        blob = compress(np.load(GOLDEN / src), **kw)
+        assert blob[4] == 3  # version byte
+        assert blob == _blob(f"{name}.sz")
+
+    @pytest.mark.parametrize("name,src,kw", CASES, ids=[c[0] for c in CASES])
+    def test_bound_still_holds(self, name, src, kw):
+        arr = np.load(GOLDEN / src)
+        out = decompress(_blob(f"{name}.sz"))
+        assert verify_bound(arr, out, kw["mode"], kw["bound"])["ok"]
+        info = container_info_any(_blob(f"{name}.sz"))
+        assert info["format"] == "v1-segmented" and info["segmented"]
+        assert info["mode"] == kw["mode"] and info["mode_param"] == kw["bound"]
+
+
+class TestLegacy1DGolden:
+    """1-D containers written before segmenting: one scan per array.
+
+    The same sources, compressed by the scalar 1-D encoder, as version
+    1/2 containers and as a tiled container with 300-point tiles.  They
+    replay through the sequential decoder, bit for bit.
+    """
+
+    CASES = [
+        ("v1_legacy_1d_rel_f32", "series_f32.npy", {"mode": "rel", "bound": 1e-3}),
+        ("v2_legacy_1d_pwrel_f64", "series_f64.npy", {"mode": "pw_rel", "bound": 1e-3}),
+    ]
+
+    @pytest.mark.parametrize("name,src,kw", CASES, ids=[c[0] for c in CASES])
+    def test_decodes_bit_exact(self, name, src, kw):
+        blob = _blob(f"{name}.sz")
+        assert blob[4] in (1, 2)
+        out = decompress(blob)
+        expected = _decoded(name)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        np.testing.assert_array_equal(
+            out.view(np.uint8), expected.view(np.uint8)
+        )
+        assert verify_bound(np.load(GOLDEN / src), out, kw["mode"], kw["bound"])["ok"]
+
+    def test_tiled_decodes_bit_exact(self):
+        out = decompress_tiled(_blob("v2_tiled_legacy_1d_rel_f32.szt"))
+        np.testing.assert_array_equal(out, _decoded("v2_tiled_legacy_1d_rel_f32"))
+        src = np.load(GOLDEN / "series_f32.npy")
+        assert verify_bound(src, out, "rel", 1e-3)["ok"]

@@ -13,10 +13,15 @@ asserts code-for-code and byte-for-byte equality against
 
 * gather tables on vs rebuilt per plane (``gather_tables = None``);
 * float32 interior vs the forced float64 fallback;
-* the public ``compress``/``decompress`` pipeline across modes.
+* the public ``compress``/``decompress`` pipeline across modes;
+* the 1-D lane path: a 1-D array longer than one segment sweeps its
+  segments as lanes, and each segment must match the reference run on
+  that segment alone.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -24,17 +29,24 @@ from hypothesis import given
 
 import repro.core.wavefront as wf
 from repro.core import compress, decompress
-from repro.core.compressor import _PLAN_CACHE
+from repro.core.bounds import pw_postcondition, pw_precondition
+from repro.core.compressor import _PLAN_CACHE, parse_container
 from repro.core.quantizer import UNPREDICTABLE, interval_radius
 from repro.core.reference import reference_compress, reference_decompress
 from repro.core.unpredictable import truncate_to_bound
+from repro.core.stream import SEGMENTED_VERSION
 from repro.core.wavefront import (
     WavefrontPlan,
+    segment_layout,
     wavefront_compress,
     wavefront_decompress,
 )
 
-from strategies import ADVERSARIAL_SHAPES, wavefront_arrays
+from strategies import (
+    ADVERSARIAL_SHAPES,
+    extreme_finite_values,
+    wavefront_arrays,
+)
 
 
 def _codes_to_raster(codes_wf, plan, shape):
@@ -211,3 +223,159 @@ class TestAdversarialShapesCurated:
         _assert_matches_reference(
             data, 1e-3, 1, 8, WavefrontPlan(shape, 1, dtype)
         )
+
+
+# -- 1-D segments as lanes ---------------------------------------------
+
+SEGMENT_SIZES = [1, 255, 256, 257, 4095, 4097, 64 * 4096 + 1]
+MODES = TestPipelineIdentity.MODES
+
+
+def _segment_bounds(n):
+    """Raster offsets of the segments :func:`segment_layout` cuts."""
+    segments, points = segment_layout(n)
+    full = n - segments * (points - 1)
+    lengths = [points] * full + [points - 1] * (segments - full)
+    return np.concatenate([[0], np.cumsum(lengths)]).tolist()
+
+
+def _checked_segments(bounds):
+    """Every segment; the longest array checks its first two, a middle
+    and its last segment (the scalar reference runs ~10 us a point)."""
+    segments = len(bounds) - 1
+    if bounds[-1] <= 8192:
+        return range(segments)
+    return sorted({0, 1, segments // 2, segments - 1})
+
+
+def _reference_segment(x, eb, layers, radius):
+    """Reference codes, reconstruction and replay of one segment alone.
+
+    The scalar reference runs outside the RuntimeWarning filter: its
+    float64 residual overflows on extreme values where the kernels'
+    errstate keeps quiet.
+    """
+    with np.errstate(all="ignore"):
+        codes, dec = reference_compress(x, eb, layers, radius)
+        unpred = truncate_to_bound(x[codes == UNPREDICTABLE], eb)
+        out = reference_decompress(codes, unpred, eb, layers, radius, x.dtype)
+    return codes, dec, out
+
+
+def _assert_segments_match_reference(data, eb, layers, radius):
+    plan = WavefrontPlan(data.shape, layers, data.dtype)
+    res = wavefront_compress(data, eb, plan, radius)
+    miss = res.codes == UNPREDICTABLE
+    # Raster order throughout: unpredictable values in array order.
+    np.testing.assert_array_equal(res.unpredictable, data[miss])
+    out = wavefront_decompress(
+        res.codes, truncate_to_bound(res.unpredictable, eb), plan, eb,
+        radius, data.dtype,
+    )
+    np.testing.assert_array_equal(out, res.decompressed)
+    bounds = _segment_bounds(data.size)
+    for s in _checked_segments(bounds):
+        lo, hi = bounds[s], bounds[s + 1]
+        codes, dec, ref_out = _reference_segment(
+            data[lo:hi], eb, layers, radius
+        )
+        np.testing.assert_array_equal(res.codes[lo:hi], codes)
+        np.testing.assert_array_equal(res.decompressed[lo:hi], dec)
+        np.testing.assert_array_equal(out[lo:hi], ref_out)
+
+
+class TestSegmentedKernel:
+    """Each lane of the 1-D sweep is the reference on its segment."""
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=str)
+    @pytest.mark.parametrize("n", SEGMENT_SIZES)
+    def test_segments_match_reference(self, n, dtype, layers):
+        rng = np.random.default_rng(n + layers)
+        data = np.cumsum(rng.normal(0.0, 0.3, n))
+        spikes = rng.choice(n, size=max(1, n // 64), replace=False)
+        data[spikes] += 1e4  # unpredictable points inside segments
+        _assert_segments_match_reference(
+            data.astype(dtype), 1e-3, layers, interval_radius(8)
+        )
+
+    def test_segment_rule(self):
+        assert segment_layout(256) == (1, 256)
+        assert segment_layout(257) == (2, 129)
+        assert segment_layout(4095) == (16, 256)
+        assert segment_layout(64 * 4096) == (64, 4096)
+        assert segment_layout(64 * 4096 + 1) == (65, 4033)
+        for n in SEGMENT_SIZES + [773, 1 << 20, 10**7 + 3]:
+            bounds = _segment_bounds(n)
+            lengths = np.diff(bounds)
+            assert bounds[-1] == n and lengths.max() - lengths.min() <= 1
+            assert lengths.max() <= 4096
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=str)
+    @pytest.mark.parametrize("n", [257, 4097])
+    def test_nonfinite_and_extreme_values(self, n, dtype, layers):
+        rng = np.random.default_rng(7 * n + layers)
+        data = np.cumsum(rng.normal(0.0, 0.25, n)).astype(dtype)
+        specials = np.concatenate(
+            [extreme_finite_values(dtype), np.array([np.nan, np.inf, -np.inf])]
+        ).astype(dtype)
+        # Salt segment heads and tails (the lane edges) and the interior.
+        bounds = _segment_bounds(n)
+        edges = sorted({b for b in bounds[:-1]} | {b - 1 for b in bounds[1:]})
+        spots = np.concatenate(
+            [rng.choice(edges, size=4, replace=False), rng.choice(n, size=12)]
+        )
+        data[spots] = rng.choice(specials, size=spots.size)
+        _assert_segments_match_reference(data, 1e-3, layers, interval_radius(8))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=str)
+    @pytest.mark.parametrize("mode,bound", MODES, ids=[m for m, _ in MODES])
+    def test_pipeline_segments_match_reference(self, mode, bound, dtype):
+        n = 3 * 256 + 5
+        rng = np.random.default_rng(11)
+        data = (np.abs(np.cumsum(rng.normal(0.0, 0.1, n))) + 0.5).astype(dtype)
+        blob = compress(data, mode=mode, bound=bound)
+        assert blob[4] == SEGMENTED_VERSION
+        header = parse_container(blob).header
+        radius = interval_radius(header.interval_bits)
+        inner = pw_precondition(data)[0] if mode == "pw_rel" else data
+        bounds = _segment_bounds(n)
+        dec = np.concatenate([
+            _reference_segment(
+                inner[lo:hi], header.eb_abs, header.layers, radius
+            )[2]
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ])
+        if mode == "pw_rel":
+            dec = pw_postcondition(dec, header.side_payload, header.dtype)
+        out = decompress(blob)
+        assert out.dtype == data.dtype
+        np.testing.assert_array_equal(out, dec)
+
+    # sha256 over the blobs of `_short_blobs(n)`, as written before 1-D
+    # arrays were segmented: an array of at most one segment keeps its
+    # version 1/2 bytes.
+    SHORT_DIGESTS = {
+        1: "982e0a9b7093576fa7b61f5397a232b14c18a68d7b63c7f962f919f7b5ec929d",
+        37: "55bbeb5ed62ebce2a14ddebd1ae615324c01d5a409548ee643219ad31e39f94a",
+        255: "a815cdb7aec782e7e80ce669168c3d3c892e8fa3da6c435e8717aa7fb684beee",
+        256: "cfab7afe0bb5eba6b4369ccf3838c81cad8ac636da97b3226b5a33f98569b29f",
+    }
+
+    @pytest.mark.parametrize("n", sorted(SHORT_DIGESTS))
+    def test_single_segment_bytes_unchanged(self, n):
+        digest = hashlib.sha256()
+        for dtype in (np.float32, np.float64):
+            rng = np.random.default_rng(n)
+            data = np.abs(np.cumsum(rng.normal(0.0, 0.1, n))) + 0.5
+            data[n // 2] += 50.0
+            data = data.astype(dtype)
+            for mode, bound in MODES:
+                for layers in (1, 2):
+                    blob = compress(data, mode=mode, bound=bound, layers=layers)
+                    assert blob[4] != SEGMENTED_VERSION
+                    digest.update(blob)
+        assert digest.hexdigest() == self.SHORT_DIGESTS[n]
