@@ -24,7 +24,7 @@ def wf_roundtrip(data, eb, n=1, m=8):
     res = wavefront_compress(data, eb, plan, radius)
     recon_unpred = truncate_to_bound(res.unpredictable, eb)
     out = wavefront_decompress(
-        res.codes, recon_unpred, plan, eb, radius, data.dtype
+        res.codes, recon_unpred, plan, eb, radius, data.dtype, True
     )
     return res, out
 
@@ -154,7 +154,9 @@ class TestRoundTrip:
             pytest.skip("no unpredictables generated")
         too_few = truncate_to_bound(res.unpredictable, 1e-6)[:-1]
         with pytest.raises(ValueError):
-            wavefront_decompress(res.codes, too_few, plan, 1e-6, radius, data.dtype)
+            wavefront_decompress(
+                res.codes, too_few, plan, 1e-6, radius, data.dtype, True
+            )
 
     @given(
         st.sampled_from([(5, 6), (16, 3), (4, 4, 4), (40,)]),

@@ -84,7 +84,7 @@ def _assert_matches_reference(data, eb, layers, interval_bits, plan):
     # Decompress replay must land on the reference reconstruction too.
     unpred_recon = truncate_to_bound(res.unpredictable, eb)
     out = wavefront_decompress(
-        res.codes, unpred_recon, plan, eb, radius, data.dtype
+        res.codes, unpred_recon, plan, eb, radius, data.dtype, True
     )
     np.testing.assert_array_equal(out, ref_dec)
 
@@ -118,7 +118,7 @@ class TestKernelIdentity:
             ) - 1
             unpred_wf = unpred_raster[uidx[plan.order][miss_wf]]
             out = wavefront_decompress(
-                codes_wf, unpred_wf, plan, eb, radius, data.dtype
+                codes_wf, unpred_wf, plan, eb, radius, data.dtype, True
             )
             np.testing.assert_array_equal(out, ref_out)
 
@@ -132,7 +132,8 @@ def test_decompress_validates_unpred_count():
     bad[::5] = UNPREDICTABLE  # misses without stored values
     with pytest.raises(ValueError, match="count mismatch"):
         wavefront_decompress(
-            bad, np.zeros(0, dtype=np.float64), plan, eb, radius, np.float64
+            bad, np.zeros(0, dtype=np.float64), plan, eb, radius, np.float64,
+            True,
         )
 
 
@@ -270,7 +271,7 @@ def _assert_segments_match_reference(data, eb, layers, radius):
     np.testing.assert_array_equal(res.unpredictable, data[miss])
     out = wavefront_decompress(
         res.codes, truncate_to_bound(res.unpredictable, eb), plan, eb,
-        radius, data.dtype,
+        radius, data.dtype, True,
     )
     np.testing.assert_array_equal(out, res.decompressed)
     bounds = _segment_bounds(data.size)
